@@ -53,7 +53,7 @@ pub struct MonitorConfig {
     /// deployment's maintenance service (the clairvoyant oracle).
     pub suspect_timeout: Option<SimTime>,
     /// Sweep evaluation strategy installed into every node engine. The
-    /// default is [`SweepMode::Incremental`] unless the
+    /// default is the `⊓`-gated [`SweepMode::Aggregate`] unless the
     /// `FTSCP_SWEEP_THREADS` env var is set, in which case the whole
     /// deployment runs `AggregateParallel { threads: 0 }` (resolving the
     /// worker count from that same variable) — the CI lever that forces

@@ -24,7 +24,7 @@ use crate::interval::Interval;
 use crate::par;
 use crate::prune;
 use crate::solution::Solution;
-use crate::summary::SweepSummary;
+use crate::summary;
 use ftscp_vclock::{order, OpCounter};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -81,29 +81,31 @@ pub struct BankStats {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SweepMode {
     /// Recompute both directed comparisons on every visit — the original
-    /// behavior, kept for before/after benchmarking and differential tests.
+    /// behavior, kept as the differential oracle in tests and benchmarks.
     Full,
-    /// Cache the pairwise verdict per (queue pair, head generations): a
-    /// head-pair whose heads are unchanged since its last evaluation is
-    /// answered from the cache with zero comparison cost. Deletion and
-    /// emission decisions are bit-identical to [`SweepMode::Full`] — only
-    /// the operation count changes.
-    #[default]
+    /// Opt-in: cache the pairwise verdict per (queue pair, head
+    /// generations): a head-pair whose heads are unchanged since its last
+    /// evaluation is answered from the cache with zero comparison cost.
+    /// Deletion and emission decisions are bit-identical to
+    /// [`SweepMode::Full`] — only the operation count changes. The cache
+    /// answers almost no lookups on real workloads; the mode survives only
+    /// until its deletion.
     Incremental,
-    /// Maintain a running per-component `⊓`-summary of the queue heads
-    /// ([`SweepSummary`], Theorem 1 / Lemma 1) and test each sweep visit
-    /// against the summary in `O(n)` instead of against all `k − 1` other
-    /// heads, falling back to the exact pairwise row only when the summary
-    /// cannot certify the visit clean — i.e. only to identify *which* head
-    /// to delete. All comparisons (gate and fallback) run through the
-    /// word-chunked comparator and bill per
-    /// [`CHUNK_WIDTH`](ftscp_vclock::order::CHUNK_WIDTH)-component word.
-    /// Deletion, emission, and prune decisions are bit-identical to
+    /// The default: test each sweep visit against the `⊓` of the other
+    /// heads ([`summary::certify`], Theorem 1 / Lemma 1) in `O(n)` instead
+    /// of against all `k − 1` other heads, falling back to the exact
+    /// pairwise row only when the gate cannot certify the visit clean —
+    /// i.e. only to identify *which* head to delete. The gate folds the
+    /// `⊓` per visit and keeps no state between visits. All comparisons
+    /// (gate and fallback) run through the word-chunked comparator and
+    /// bill per [`CHUNK_WIDTH`](ftscp_vclock::order::CHUNK_WIDTH)-component
+    /// word. Deletion, emission, and prune decisions are bit-identical to
     /// [`SweepMode::Full`] — only the traversal and the operation count
     /// change.
+    #[default]
     Aggregate,
     /// [`Aggregate`](SweepMode::Aggregate) with the large per-visit
-    /// regions — summary materialization, the pairwise fallback row, and
+    /// regions — the gate's `⊓` fold, the pairwise fallback row, and
     /// the Eq. (10) prune pre-gate — sharded across scoped worker threads
     /// (see the `par` module). `threads: 0` resolves via
     /// [`effective_threads`](crate::par::effective_threads) (the
@@ -125,7 +127,7 @@ pub enum SweepMode {
 impl SweepMode {
     /// True for the summary-gated sweeps ([`Aggregate`](Self::Aggregate)
     /// and [`AggregateParallel`](Self::AggregateParallel)), which share
-    /// the `⊓`-summary, chunked comparators, and aggregate prune.
+    /// the `⊓`-gate, chunked comparators, and aggregate prune.
     pub fn is_aggregate(self) -> bool {
         matches!(
             self,
@@ -306,23 +308,30 @@ pub struct QueueBank {
     /// Pairwise verdict cache keyed by `(min_idx, max_idx)`. Transient:
     /// never snapshotted, rebuilt on demand after a restore.
     pair_cache: HashMap<(usize, usize), PairVerdict>,
-    /// Running `⊓`-summary of the live heads. Maintained only under
-    /// [`SweepMode::Aggregate`]; transient like the pair cache (rebuilt on
-    /// mode selection, never snapshotted).
-    summary: SweepSummary,
 }
 
-/// Current `(lo, hi)` component slices of every queue head, indexed by
-/// slot — the materialization input for [`SweepSummary::certify`].
-fn summary_heads(slots: &[Option<QueueSlot>]) -> Vec<Option<(&[u32], &[u32])>> {
-    slots
-        .iter()
-        .map(|s| {
-            s.as_ref()
-                .and_then(|q| q.items.front())
-                .map(|iv| (iv.lo.components(), iv.hi.components()))
-        })
-        .collect()
+/// Calls `f` with the current `(lo, hi)` component slices of every queue
+/// head, indexed by slot — the fold input of [`summary::certify`]. Banks
+/// of up to 8 slots (every node of a tree of degree ≤ 7) build the slice
+/// on the stack, so the common sweep visit allocates nothing.
+fn with_head_bounds<R>(
+    slots: &[Option<QueueSlot>],
+    f: impl FnOnce(&summary::HeadBounds<'_>) -> R,
+) -> R {
+    fn bounds(s: &Option<QueueSlot>) -> Option<(&[u32], &[u32])> {
+        s.as_ref()
+            .and_then(|q| q.items.front())
+            .map(|iv| (iv.lo.components(), iv.hi.components()))
+    }
+    let mut stack = [None; 8];
+    if slots.len() <= stack.len() {
+        for (b, s) in stack.iter_mut().zip(slots) {
+            *b = bounds(s);
+        }
+        f(&stack[..slots.len()])
+    } else {
+        f(&slots.iter().map(bounds).collect::<Vec<_>>())
+    }
 }
 
 impl QueueBank {
@@ -339,7 +348,6 @@ impl QueueBank {
             mode: SweepMode::default(),
             head_gens: vec![0; queues],
             pair_cache: HashMap::new(),
-            summary: SweepSummary::new(),
         }
     }
 
@@ -348,8 +356,6 @@ impl QueueBank {
     /// only the comparison count differs.
     pub fn with_sweep_mode(mut self, mode: SweepMode) -> Self {
         self.mode = mode;
-        // Lazily rebuilt from the live heads on the next Aggregate sweep.
-        self.summary.clear();
         self
     }
 
@@ -456,9 +462,6 @@ impl QueueBank {
         if self.slots.get(idx).and_then(|s| s.as_ref()).is_none() {
             return Vec::new();
         }
-        if self.mode.is_aggregate() {
-            self.summary.touch();
-        }
         self.slots[idx] = None;
         self.active -= 1;
         self.head_gens[idx] += 1;
@@ -509,9 +512,6 @@ impl QueueBank {
 
         if new_len == 1 {
             self.head_gens[idx] += 1;
-            if self.mode.is_aggregate() {
-                self.summary.touch();
-            }
             self.run_detection(BTreeSet::from([idx]))
         } else {
             Vec::new()
@@ -547,9 +547,6 @@ impl QueueBank {
             self.record(BankEvent::QueueRemoved {
                 slot: SlotId(idx as u32),
             });
-        }
-        if popped.is_some() && self.mode.is_aggregate() {
-            self.summary.touch();
         }
         popped
     }
@@ -621,11 +618,9 @@ impl QueueBank {
             trace: None,
             mode: SweepMode::default(),
             // The verdict cache is transient: start cold with fresh
-            // generations and let it warm back up. Likewise the sweep
-            // summary: rebuilt when `with_sweep_mode` selects Aggregate.
+            // generations and let it warm back up.
             head_gens: vec![0; gens],
             pair_cache: HashMap::new(),
-            summary: SweepSummary::new(),
         }
     }
 
@@ -732,30 +727,25 @@ impl QueueBank {
                         // this visit deletes nothing (the overwhelmingly
                         // common case); the pairwise fallback below runs
                         // only to identify which head(s) to delete.
-                        let QueueBank {
-                            summary,
-                            slots,
-                            ops,
-                            stats,
-                            ..
-                        } = self;
-                        let heads = summary_heads(slots);
-                        let iv = slots[a]
+                        let iv = self.slots[a]
                             .as_ref()
                             .and_then(|q| q.items.front())
                             .expect("head id was just read");
-                        if summary.certify_par(
-                            a,
-                            iv.lo.components(),
-                            iv.hi.components(),
-                            &heads,
-                            ops,
-                            region_threads,
-                        ) {
-                            stats.gate_hits += 1;
+                        let certified = with_head_bounds(&self.slots, |heads| {
+                            summary::certify(
+                                a,
+                                iv.lo.components(),
+                                iv.hi.components(),
+                                heads,
+                                &self.ops,
+                                region_threads,
+                            )
+                        });
+                        if certified {
+                            self.stats.gate_hits += 1;
                             continue;
                         }
-                        stats.gate_misses += 1;
+                        self.stats.gate_misses += 1;
                     }
                     if region_threads > 1 {
                         // Parallel pairwise fallback row. The sequential
@@ -1373,7 +1363,7 @@ mod tests {
     #[test]
     fn parallel_sweep_matches_aggregate_bit_for_bit_on_wide_bank() {
         // Wide bank: k = 300 queues × width 300 puts every sweep region
-        // (gate materialization, fallback rows, and the solution prune)
+        // (the gate's ⊓ fold, fallback rows, and the solution prune)
         // past PAR_MIN_REGION, so the scoped-thread paths genuinely run.
         // Phase A fills all queues with mutually overlapping heads (gate
         // hits all the way, one solution, a 300-member parallel prune);
@@ -1426,7 +1416,7 @@ mod tests {
 
     #[test]
     fn aggregate_mode_survives_queue_lifecycle_churn() {
-        // Add/remove/ephemeral queue traffic while the summary is live.
+        // Add/remove/ephemeral queue traffic under the gated sweep.
         let mut bank = QueueBank::new(2).with_sweep_mode(SweepMode::Aggregate);
         bank.enqueue(SlotId(0), iv(0, 0, &[1, 0, 0], &[9, 8, 8]));
         let s2 = bank.add_queue();
@@ -1448,7 +1438,7 @@ mod tests {
         // After a failure, remove_queue re-marks every non-empty queue as
         // updated; the surviving heads were already compared against each
         // other, so the re-run should be pure cache hits.
-        let mut bank = QueueBank::new(3);
+        let mut bank = QueueBank::new(3).with_sweep_mode(SweepMode::Incremental);
         bank.enqueue(SlotId(0), iv(0, 0, &[1, 0, 0], &[4, 3, 0]));
         bank.enqueue(SlotId(1), iv(1, 0, &[2, 1, 0], &[3, 4, 0]));
         let hits_before = bank.stats().cache_hits;
@@ -1467,7 +1457,7 @@ mod tests {
     fn slot_reuse_invalidates_cached_verdicts() {
         // Queue 2 stays empty throughout so no solutions fire and the
         // cached pair (0,1) verdict is the only state in play.
-        let mut bank = QueueBank::new(3);
+        let mut bank = QueueBank::new(3).with_sweep_mode(SweepMode::Incremental);
         bank.enqueue(SlotId(0), iv(0, 0, &[1, 0, 0], &[9, 8, 0]));
         bank.enqueue(SlotId(1), iv(1, 0, &[2, 1, 0], &[8, 9, 0]));
         let misses_after_warmup = bank.stats().cache_misses;

@@ -53,4 +53,3 @@ pub use interval::{Interval, IntervalKind, IntervalRef};
 pub use overlap::{definitely_holds, definitely_holds_fast, overlap, possibly_holds};
 pub use prune::PruneRule;
 pub use solution::Solution;
-pub use summary::SweepSummary;

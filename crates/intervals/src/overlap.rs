@@ -2,7 +2,7 @@
 //! interval sets (Eqs. (1) and (2) of the paper).
 
 use crate::interval::Interval;
-use crate::summary::SweepSummary;
+use crate::summary;
 use ftscp_vclock::{order, OpCounter};
 
 /// Pairwise overlap: `min(x) < max(y) ∧ min(y) < max(x)`.
@@ -34,7 +34,7 @@ pub fn definitely_holds(set: &[Interval]) -> bool {
 
 /// [`definitely_holds`] through the `⊓`-summary gate: each member is
 /// first tested against the aggregate of the others in `O(n)`
-/// ([`SweepSummary::certify`], Theorem 1); only members the summary
+/// ([`summary::certify`], Theorem 1); only members the gate
 /// cannot certify — a violation, or the rare non-strict tie against the
 /// aggregate — fall back to their exact pairwise row. Returns exactly
 /// what [`definitely_holds`] returns, in `O(k·n)` instead of `O(k²·n)`
@@ -49,9 +49,8 @@ pub fn definitely_holds_fast(set: &[Interval], ops: &OpCounter) -> bool {
         .iter()
         .map(|iv| Some((iv.lo.components(), iv.hi.components())))
         .collect();
-    let mut summary = SweepSummary::new();
     for (i, x) in set.iter().enumerate() {
-        if summary.certify(i, x.lo.components(), x.hi.components(), &heads, ops) {
+        if summary::certify(i, x.lo.components(), x.hi.components(), &heads, ops, 1) {
             continue;
         }
         // Exact row: the gate is conservative on ties, so only a pairwise

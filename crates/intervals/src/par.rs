@@ -1,9 +1,9 @@
 //! Scoped-thread partition runner for the parallel sweep.
 //!
 //! [`SweepMode::AggregateParallel`](crate::SweepMode::AggregateParallel)
-//! shards three per-visit regions of the queue-bank sweep — summary
-//! materialization, the pairwise fallback row, and the Eq. (10) prune
-//! pre-gate — across worker threads. The crate forbids `unsafe`, so there
+//! shards three per-visit regions of the queue-bank sweep — the gate's
+//! `⊓` fold, the pairwise fallback row, and the Eq. (10) prune pre-gate —
+//! across worker threads. The crate forbids `unsafe`, so there
 //! is no persistent pool borrowing per-visit state; instead each parallel
 //! region opens a [`std::thread::scope`], the calling thread participates
 //! as a worker, and an atomic cursor hands out index chunks exactly as in

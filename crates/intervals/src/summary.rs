@@ -1,4 +1,4 @@
-//! Running `⊓`-summaries of the live queue heads ([`SweepSummary`]).
+//! The `⊓`-summary gate of the aggregate sweep ([`certify`]).
 //!
 //! The pairwise sweep of Algorithm 1 tests, for a fresh head `x` of queue
 //! `a`, both directions of the overlap condition against every other head
@@ -22,115 +22,110 @@
 //! back to the exact pairwise row, solely to identify *which* head(s) to
 //! delete, so deletion decisions stay bit-identical to the pairwise sweep.
 //!
-//! ## Exclusion, epochs, and lazy materialization
+//! ## One fused fold per visit, nothing stored
 //!
-//! The summaries must exclude the visiting queue itself (`b ≠ a`), so
-//! there is one `(U_a, V_a)` pair per slot. Materializing all of them
-//! eagerly on every head change is wasted work twice over: a solution pops
-//! all `k` heads at once (the summary would be rebuilt `k` times per
-//! round), and a typical sweep round only visits the one or two queues
-//! whose heads actually changed (the other `k − 2` rows would never be
-//! read).
+//! The summaries exclude the visiting queue itself (`b ≠ a`), so every
+//! slot has its own `(U_a, V_a)` pair. Keeping those pairs between visits
+//! buys nothing: every sweep entry follows a head change (an enqueue into
+//! an empty queue, a queue removal, or a head pop), one sweep pass visits
+//! each slot at most once, and the pass's deletions change the heads
+//! again — a stored row would be written once and read once.
 //!
-//! The summary therefore invalidates in `O(1)` and materializes per slot
-//! on demand. Head changes call [`touch`](SweepSummary::touch), which just
-//! marks an epoch bump; the first [`certify`](SweepSummary::certify)
-//! afterwards advances the epoch, and each slot's excluded pair is
-//! recomputed — a branch-free component-wise meet/join over the `k − 1`
-//! other heads' contiguous bound rows, the exact shape the autovectorizer
-//! turns into packed SIMD min/max — only when that slot is gated within
-//! the current epoch. A round that gates one fresh head against `k − 1`
-//! unchanged peers pays for exactly one `O(k·n)` row, not `k` of them.
-//!
-//! The materialization is *maintenance*, billed like the `⊓`-aggregation
+//! [`certify`] is therefore stateless. It folds `V` and `U` one
+//! [`CHUNK_WIDTH`]-component word at a time into stack arrays — a
+//! component-wise meet/join over the `k − 1` other heads' bound words —
+//! and tests that word against the visiting head at once. A visit whose
+//! gate fails early stops folding early too, and no row is ever
+//! allocated. The fold is *maintenance*, billed like the `⊓`-aggregation
 //! it is (i.e. not counted as overlap-comparison work); the gate's own
-//! scans bill two units per [`CHUNK_WIDTH`]-component word, matching
+//! test bills two units per word inspected, matching
 //! [`compare_chunked_counted`](ftscp_vclock::order::compare_chunked_counted).
+//!
+//! Regions large enough for the parallel sweep (`threads > 1`) fold the
+//! whole excluded row first, column-sharded across scoped workers into a
+//! per-call buffer, then run the same word test over it — same verdict,
+//! same billing.
 
 use ftscp_vclock::{order::CHUNK_WIDTH, OpCounter};
+use std::ops::Range;
 
 /// Current `(lo, hi)` component slices of every live queue head, indexed
-/// by slot — the materialization input for [`SweepSummary::certify`].
+/// by slot — the fold input of [`certify`].
 pub type HeadBounds<'a> = [Option<(&'a [u32], &'a [u32])>];
 
-/// The billed gate scan, shared by the sequential and parallel sweeps:
-/// tests `lo < v` and `u < hi` (component-wise `≤` with a strict witness
-/// each) over equal-width slices, billing `ops` two units per
-/// [`CHUNK_WIDTH`]-component word inspected with early exit at word
-/// granularity on the first violated `≤` direction.
+/// The billed gate test, shared by the sequential and parallel paths:
+/// walks the columns of `lo`/`hi` one [`CHUNK_WIDTH`]-component word at a
+/// time, asks `fill(cols, v, u)` for that word of the excluded meet of
+/// highs (`v`) and join of lows (`u`), and tests `lo < V` and `U < hi`
+/// (component-wise `≤` with a strict witness each). Bills `ops` two units
+/// per word inspected, a trailing partial word included, with early exit
+/// at word granularity on the first violated `≤` direction.
 ///
-/// Like the chunked comparator, the inner loop packs two adjacent `u32`
-/// components per `u64` word: an equal packed pair leaves every flag
-/// unchanged (`≤` holds without a strict witness), so one 64-bit equality
-/// test retires both components; only differing pairs pay the per-half
-/// order tests. Billing counts words traversed, not work done inside
-/// them, so the packing cannot change any counter total.
-fn certify_scan(lo: &[u32], hi: &[u32], v: &[u32], u: &[u32], ops: &OpCounter) -> bool {
+/// Like the chunked comparator, a full word packs two adjacent `u32`
+/// components per `u64`: an equal packed pair leaves every flag unchanged
+/// (`≤` holds without a strict witness), so one 64-bit equality test
+/// retires both components; only differing pairs pay the per-half order
+/// tests.
+fn gate_scan(
+    lo: &[u32],
+    hi: &[u32],
+    ops: &OpCounter,
+    mut fill: impl FnMut(Range<usize>, &mut [u32], &mut [u32]),
+) -> bool {
     let width = lo.len();
-    debug_assert!(hi.len() == width && v.len() == width && u.len() == width);
-    // Direction 1: min(x) < V_excl  (component-wise ≤ + strict witness).
-    // Direction 2: U_excl < max(x).
-    let mut le1 = true;
-    let mut lt1 = false;
-    let mut le2 = true;
-    let mut lt2 = false;
-    let mut words = 0u64;
-    let mut done = false;
+    // Direction 1: min(x) < V (le1, lt1). Direction 2: U < max(x) (le2, lt2).
+    let (mut le1, mut lt1, mut le2, mut lt2) = (true, false, true, false);
     let pack = |a: u32, b: u32| u64::from(a) | (u64::from(b) << 32);
-    for (((wl, wh), wv), wu) in lo
-        .chunks_exact(CHUNK_WIDTH)
-        .zip(hi.chunks_exact(CHUNK_WIDTH))
-        .zip(v.chunks_exact(CHUNK_WIDTH))
-        .zip(u.chunks_exact(CHUNK_WIDTH))
-    {
+    let (mut v, mut u) = ([0u32; CHUNK_WIDTH], [0u32; CHUNK_WIDTH]);
+    let mut words = 0u64;
+    let mut base = 0;
+    while base < width && le1 && le2 {
+        let end = (base + CHUNK_WIDTH).min(width);
+        let (wv, wu) = (&mut v[..end - base], &mut u[..end - base]);
+        fill(base..end, wv, wu);
         words += 1;
-        for k in 0..CHUNK_WIDTH / 2 {
-            let (l0, l1) = (wl[2 * k], wl[2 * k + 1]);
-            let (v0, v1) = (wv[2 * k], wv[2 * k + 1]);
-            if pack(l0, l1) != pack(v0, v1) {
-                le1 &= l0 <= v0 && l1 <= v1;
-                lt1 |= l0 < v0 || l1 < v1;
+        let (wl, wh) = (&lo[base..end], &hi[base..end]);
+        if end - base == CHUNK_WIDTH {
+            for k in 0..CHUNK_WIDTH / 2 {
+                let (l0, l1) = (wl[2 * k], wl[2 * k + 1]);
+                let (v0, v1) = (wv[2 * k], wv[2 * k + 1]);
+                if pack(l0, l1) != pack(v0, v1) {
+                    le1 &= l0 <= v0 && l1 <= v1;
+                    lt1 |= l0 < v0 || l1 < v1;
+                }
+                let (u0, u1) = (wu[2 * k], wu[2 * k + 1]);
+                let (h0, h1) = (wh[2 * k], wh[2 * k + 1]);
+                if pack(u0, u1) != pack(h0, h1) {
+                    le2 &= u0 <= h0 && u1 <= h1;
+                    lt2 |= u0 < h0 || u1 < h1;
+                }
             }
-            let (u0, u1) = (wu[2 * k], wu[2 * k + 1]);
-            let (h0, h1) = (wh[2 * k], wh[2 * k + 1]);
-            if pack(u0, u1) != pack(h0, h1) {
-                le2 &= u0 <= h0 && u1 <= h1;
-                lt2 |= u0 < h0 || u1 < h1;
+        } else {
+            for c in 0..wl.len() {
+                le1 &= wl[c] <= wv[c];
+                lt1 |= wl[c] < wv[c];
+                le2 &= wu[c] <= wh[c];
+                lt2 |= wu[c] < wh[c];
             }
         }
-        if !le1 || !le2 {
-            done = true;
-            break;
-        }
-    }
-    // Any trailing partial word bills one unit like the full ones.
-    let rem = width % CHUNK_WIDTH;
-    if !done && rem != 0 {
-        words += 1;
-        let base = width - rem;
-        for c in base..width {
-            le1 &= lo[c] <= v[c];
-            lt1 |= lo[c] < v[c];
-            le2 &= u[c] <= hi[c];
-            lt2 |= u[c] < hi[c];
-        }
+        base = end;
     }
     ops.add(2 * words);
     le1 && lt1 && le2 && lt2
 }
 
-/// Fills one column range of an excluded `⊓`-row: for each column `c` in
-/// `cols`, the meet over the other heads' highs into `out_v` and the join
-/// over their lows into `out_u` (`out_*[j]` holds column `cols.start + j`).
+/// Folds one column range of slot `slot`'s excluded `⊓`-pair: for each
+/// column `c` in `cols`, the meet over the other heads' highs into `out_v`
+/// and the join over their lows into `out_u` (`out_*[j]` holds column
+/// `cols.start + j`).
 ///
-/// Column `c`'s result folds the same heads in the same slot order as the
-/// sequential materialization — and `min`/`max` on `u32` are commutative
-/// and associative besides — so a row assembled from any column partition
-/// is bit-identical to the sequentially filled row.
+/// Each column folds the same heads in slot order whatever the range, and
+/// `min`/`max` on `u32` are commutative and associative besides, so a row
+/// assembled from any column partition equals the sequential fold.
 fn fill_columns(
     slot: usize,
     heads: &HeadBounds<'_>,
-    cols: std::ops::Range<usize>,
+    cols: Range<usize>,
     out_v: &mut [u32],
     out_u: &mut [u32],
 ) {
@@ -142,222 +137,114 @@ fn fill_columns(
         }
         if let Some((lo, hi)) = head {
             let (lo, hi) = (&lo[cols.clone()], &hi[cols.clone()]);
-            for j in 0..cols.len() {
-                out_v[j] = out_v[j].min(hi[j]);
-                out_u[j] = out_u[j].max(lo[j]);
+            for ((v, u), (&h, &l)) in out_v
+                .iter_mut()
+                .zip(out_u.iter_mut())
+                .zip(hi.iter().zip(lo))
+            {
+                *v = (*v).min(h);
+                *u = (*u).max(l);
             }
         }
     }
 }
 
-/// Per-slot excluded `⊓`-summary of a set of queue heads, invalidated in
-/// `O(1)` and materialized lazily per gated slot.
-///
-/// Maintained by [`QueueBank`](crate::QueueBank) under
-/// [`SweepMode::Aggregate`](crate::SweepMode::Aggregate); see the module
-/// docs for the math.
-#[derive(Clone, Debug)]
-pub struct SweepSummary {
-    /// Clock width (components per head bound).
+/// Folds slot `slot`'s whole excluded `⊓`-pair `(V, U)` of `width`
+/// columns into a fresh buffer, the columns statically split across
+/// `threads` scoped workers (the caller included). Every column is folded
+/// by exactly one worker via [`fill_columns`] into a disjoint sub-slice —
+/// no merge step exists, so the row equals the sequential fold by
+/// construction. Column work is uniform (`k − 1` min/max folds each), so
+/// the static equal split is already load-balanced.
+fn fold_row_par(
+    slot: usize,
+    heads: &HeadBounds<'_>,
     width: usize,
-    /// Set by [`touch`](Self::touch); the next certify opens a new epoch.
-    dirty: bool,
-    /// Current head-configuration epoch. A slot's excluded row is valid
-    /// iff `slot_epoch[slot] == epoch`.
-    epoch: u64,
-    /// Slots contributing a head as of the current epoch.
-    present: Vec<bool>,
-    /// Number of contributing slots as of the current epoch.
-    count: usize,
-    /// Epoch at which each slot's excluded row was last materialized.
-    slot_epoch: Vec<u64>,
-    /// Row-major `slots × width`: `V_s = ⊓_{b≠s} max(head_b)`.
-    v_excl: Vec<u32>,
-    /// Row-major `slots × width`: `U_s = ⊔_{b≠s} min(head_b)`.
-    u_excl: Vec<u32>,
+    threads: usize,
+) -> (Vec<u32>, Vec<u32>) {
+    let (mut row_v, mut row_u) = (vec![0u32; width], vec![0u32; width]);
+    std::thread::scope(|scope| {
+        let (mut rest_v, mut rest_u) = (row_v.as_mut_slice(), row_u.as_mut_slice());
+        let mut start = 0usize;
+        let (per, extra) = (width / threads, width % threads);
+        for t in 0..threads {
+            let len = per + usize::from(t < extra);
+            let (cv, rv) = rest_v.split_at_mut(len);
+            let (cu, ru) = rest_u.split_at_mut(len);
+            (rest_v, rest_u) = (rv, ru);
+            let cols = start..start + len;
+            start += len;
+            if t + 1 == threads {
+                // The caller folds the last column block itself.
+                fill_columns(slot, heads, cols, cv, cu);
+            } else {
+                scope.spawn(move || fill_columns(slot, heads, cols, cv, cu));
+            }
+        }
+    });
+    (row_v, row_u)
 }
 
-impl SweepSummary {
-    /// An empty summary; starts dirty so the first certify synchronizes.
-    pub fn new() -> Self {
-        SweepSummary {
-            width: 0,
-            dirty: true,
-            epoch: 0,
-            present: Vec::new(),
-            count: 0,
-            slot_epoch: Vec::new(),
-            v_excl: Vec::new(),
-            u_excl: Vec::new(),
-        }
+/// The whole-set overlap gate: returns `true` iff the `⊓` of the other
+/// heads *certifies* that the head (`lo`, `hi`) of queue `slot` strictly
+/// overlaps every other live head in both directions — i.e. the pairwise
+/// sweep would delete nothing on this visit. `false` means "cannot
+/// certify": the caller must fall back to the pairwise row (which may or
+/// may not find a deletion; the rare ambiguous case is a non-strict tie
+/// against the aggregate). With no other head there is nothing to
+/// violate: `true`, unbilled.
+///
+/// `heads[b]` gives the current `(lo, hi)` component slices of every live
+/// queue head, indexed by slot, all as wide as `lo`; `heads[slot]` is
+/// ignored.
+///
+/// Bills `ops` two units per [`CHUNK_WIDTH`]-component word inspected
+/// (one per direction of the overlap condition), with early exit at word
+/// granularity on the first violated direction; the `⊓` fold is unbilled
+/// maintenance (see the module docs). `threads > 1` folds the row across
+/// that many scoped workers first; the billed test always runs on the
+/// calling thread, so verdict and billing do not depend on `threads`.
+pub fn certify(
+    slot: usize,
+    lo: &[u32],
+    hi: &[u32],
+    heads: &HeadBounds<'_>,
+    ops: &OpCounter,
+    threads: usize,
+) -> bool {
+    let width = lo.len();
+    debug_assert!(hi.len() == width);
+    debug_assert!(heads
+        .iter()
+        .flatten()
+        .all(|(l, h)| l.len() == width && h.len() == width));
+    if !heads
+        .iter()
+        .enumerate()
+        .any(|(b, head)| b != slot && head.is_some())
+    {
+        return true;
     }
-
-    /// Number of heads seen by the current epoch.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// True iff the current epoch saw no heads.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Forgets everything (used when the sweep mode changes or state is
-    /// restored); the next certify resynchronizes with the live heads.
-    pub fn clear(&mut self) {
-        *self = Self::new();
-    }
-
-    /// Marks the summary stale. Called after any head change — enqueue
-    /// into an empty queue, head pop, queue removal — it costs one store;
-    /// all recomputation is deferred to the next certify.
-    pub fn touch(&mut self) {
-        self.dirty = true;
-    }
-
-    /// Opens a new epoch against the live heads: refreshes the presence
-    /// census and invalidates every materialized row (by epoch counter,
-    /// not by writing them).
-    fn sync(&mut self, heads: &HeadBounds<'_>) {
-        if !self.dirty {
-            return;
-        }
-        self.dirty = false;
-        self.epoch += 1;
-        self.present.clear();
-        self.present.extend(heads.iter().map(Option::is_some));
-        self.count = self.present.iter().filter(|&&p| p).count();
-        self.width = heads
-            .iter()
-            .flatten()
-            .map(|(lo, _)| lo.len())
-            .next()
-            .unwrap_or(0);
-        let ns = heads.len();
-        if self.slot_epoch.len() < ns {
-            self.slot_epoch.resize(ns, 0);
-        }
-        if self.v_excl.len() < ns * self.width {
-            self.v_excl.resize(ns * self.width, u32::MAX);
-            self.u_excl.resize(ns * self.width, 0);
-        }
-    }
-
-    /// Materializes slot `slot`'s excluded pair `(U, V)` for the current
-    /// epoch if stale: component-wise meet of the other heads' highs and
-    /// join of their lows, with the columns of the excluded
-    /// row statically split across up to `threads` scoped workers (the
-    /// caller included). Every column's fold is computed by exactly one
-    /// worker via [`fill_columns`], writing a disjoint sub-slice of the
-    /// row — no merge step exists, so the assembled row is bit-identical
-    /// to the sequential fill by construction. Column work is uniform
-    /// (`k − 1` min/max folds each), so the static equal split is already
-    /// load-balanced; an atomic cursor would add synchronization for
-    /// nothing here (the irregular regions use one — see `par`).
-    fn materialize_par(&mut self, slot: usize, heads: &HeadBounds<'_>, threads: usize) {
-        if self.slot_epoch[slot] == self.epoch {
-            return;
-        }
-        self.slot_epoch[slot] = self.epoch;
-        let width = self.width;
-        let row_v = &mut self.v_excl[slot * width..(slot + 1) * width];
-        let row_u = &mut self.u_excl[slot * width..(slot + 1) * width];
-        let threads = threads.clamp(1, width.max(1));
-        if threads == 1 {
-            fill_columns(slot, heads, 0..width, row_v, row_u);
-            return;
-        }
-        std::thread::scope(|scope| {
-            let (mut rest_v, mut rest_u) = (row_v, row_u);
-            let mut start = 0usize;
-            let per = width / threads;
-            let extra = width % threads;
-            for t in 0..threads {
-                let len = per + usize::from(t < extra);
-                let (cv, rv) = rest_v.split_at_mut(len);
-                let (cu, ru) = rest_u.split_at_mut(len);
-                (rest_v, rest_u) = (rv, ru);
-                let cols = start..start + len;
-                start += len;
-                if t + 1 == threads {
-                    // The caller fills the last column block itself.
-                    fill_columns(slot, heads, cols, cv, cu);
-                } else {
-                    scope.spawn(move || fill_columns(slot, heads, cols, cv, cu));
-                }
-            }
+    let threads = threads.clamp(1, width.max(1));
+    if threads == 1 {
+        return gate_scan(lo, hi, ops, |cols, v, u| {
+            fill_columns(slot, heads, cols, v, u)
         });
     }
-
-    /// The whole-set overlap gate: returns `true` iff the summary
-    /// *certifies* that the head (`lo`, `hi`) of queue `slot` strictly
-    /// overlaps every other live head in both directions — i.e. the
-    /// pairwise sweep would delete nothing on this visit. `false` means
-    /// "cannot certify": the caller must fall back to the pairwise row
-    /// (which may or may not find a deletion; the rare ambiguous case is a
-    /// non-strict tie against the aggregate).
-    ///
-    /// `heads[b]` must give the *current* `(lo, hi)` component slices of
-    /// every live queue head, indexed by slot — consulted only when a
-    /// preceding [`touch`](Self::touch) invalidated the epoch or `slot`
-    /// has not been gated in the current epoch.
-    ///
-    /// Bills `ops` two units per [`CHUNK_WIDTH`]-component word inspected
-    /// (one per direction of the overlap condition), matching the chunked
-    /// comparator's accounting; early exit at word granularity on the
-    /// first violated direction. Materialization is unbilled maintenance
-    /// (see the module docs).
-    pub fn certify(
-        &mut self,
-        slot: usize,
-        lo: &[u32],
-        hi: &[u32],
-        heads: &HeadBounds<'_>,
-        ops: &OpCounter,
-    ) -> bool {
-        self.certify_par(slot, lo, hi, heads, ops, 1)
-    }
-
-    /// [`certify`](Self::certify) with materialization of a stale excluded
-    /// row split across up to `threads` scoped workers (see
-    /// [`materialize_par`](Self::materialize_par)). The billed gate scan
-    /// itself always runs on the calling thread — it is a word-granular
-    /// early-exit loop whose billing depends on where it stops, so it must
-    /// stay sequential to keep counter totals bit-identical. `threads: 1`
-    /// is exactly the sequential gate.
-    pub fn certify_par(
-        &mut self,
-        slot: usize,
-        lo: &[u32],
-        hi: &[u32],
-        heads: &HeadBounds<'_>,
-        ops: &OpCounter,
-        threads: usize,
-    ) -> bool {
-        self.sync(heads);
-        let others = self.count - usize::from(self.present.get(slot).copied().unwrap_or(false));
-        if others == 0 {
-            return true;
-        }
-        self.materialize_par(slot, heads, threads);
-        let width = self.width;
-        let v = &self.v_excl[slot * width..(slot + 1) * width];
-        let u = &self.u_excl[slot * width..(slot + 1) * width];
-        certify_scan(&lo[..width], &hi[..width], v, u, ops)
-    }
-}
-
-impl Default for SweepSummary {
-    fn default() -> Self {
-        Self::new()
-    }
+    let (row_v, row_u) = fold_row_par(slot, heads, width, threads);
+    gate_scan(lo, hi, ops, |cols, v, u| {
+        v.copy_from_slice(&row_v[cols.clone()]);
+        u.copy_from_slice(&row_u[cols]);
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn heads_of<'a>(set: &'a [(usize, Vec<u32>, Vec<u32>)]) -> Vec<Option<(&'a [u32], &'a [u32])>> {
+    type HeadSet = Vec<(usize, Vec<u32>, Vec<u32>)>;
+
+    fn heads_of(set: &[(usize, Vec<u32>, Vec<u32>)]) -> Vec<Option<(&[u32], &[u32])>> {
         let max_slot = set.iter().map(|(s, _, _)| *s).max().unwrap_or(0);
         let mut v: Vec<Option<(&[u32], &[u32])>> = vec![None; max_slot + 1];
         for (s, lo, hi) in set {
@@ -366,15 +253,10 @@ mod tests {
         v
     }
 
-    fn certify_slot(
-        sum: &mut SweepSummary,
-        set: &[(usize, Vec<u32>, Vec<u32>)],
-        slot: usize,
-        ops: &OpCounter,
-    ) -> bool {
+    fn certify_slot(set: &[(usize, Vec<u32>, Vec<u32>)], slot: usize, ops: &OpCounter) -> bool {
         let heads = heads_of(set);
         let me = set.iter().find(|(s, _, _)| *s == slot).unwrap();
-        sum.certify(slot, &me.1, &me.2, &heads, ops)
+        certify(slot, &me.1, &me.2, &heads, ops, 1)
     }
 
     /// Reference implementation: does (lo, hi) at `slot` strictly overlap
@@ -389,6 +271,15 @@ mod tests {
             .all(|(_, lo, hi)| strictly_less(&me.1, hi) && strictly_less(lo, &me.2))
     }
 
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
     #[test]
     fn gate_certifies_mutually_overlapping_heads() {
         let set = vec![
@@ -396,10 +287,9 @@ mod tests {
             (1, vec![2, 1, 0], vec![8, 9, 8]),
             (2, vec![2, 1, 1], vec![8, 8, 9]),
         ];
-        let mut sum = SweepSummary::new();
         let ops = OpCounter::new();
         for (s, _, _) in &set {
-            assert!(certify_slot(&mut sum, &set, *s, &ops));
+            assert!(certify_slot(&set, *s, &ops));
             assert!(pairwise_all_overlap(&set, *s));
         }
         assert!(ops.get() > 0, "gate bills its scans");
@@ -412,10 +302,9 @@ mod tests {
             (0usize, vec![5, 4], vec![8, 7]),
             (1, vec![1, 0], vec![2, 1]),
         ];
-        let mut sum = SweepSummary::new();
         let ops = OpCounter::new();
-        assert!(!certify_slot(&mut sum, &set, 0, &ops));
-        assert!(!certify_slot(&mut sum, &set, 1, &ops));
+        assert!(!certify_slot(&set, 0, &ops));
+        assert!(!certify_slot(&set, 1, &ops));
     }
 
     #[test]
@@ -423,27 +312,20 @@ mod tests {
         // Pseudo-random head sets: whenever the gate certifies, the exact
         // pairwise check must agree (the converse may not hold — the gate
         // is allowed to be conservative on ties).
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut rng = xorshift(0x9E3779B97F4A7C15);
         for _ in 0..200 {
             let k = 2 + (rng() % 4) as usize;
             let n = 1 + (rng() % 12) as usize;
-            let set: Vec<(usize, Vec<u32>, Vec<u32>)> = (0..k)
+            let set: HeadSet = (0..k)
                 .map(|s| {
                     let lo: Vec<u32> = (0..n).map(|_| (rng() % 6) as u32).collect();
                     let hi: Vec<u32> = lo.iter().map(|v| v + (rng() % 6) as u32).collect();
                     (s, lo, hi)
                 })
                 .collect();
-            let mut sum = SweepSummary::new();
             let ops = OpCounter::new();
             for (s, _, _) in &set {
-                if certify_slot(&mut sum, &set, *s, &ops) {
+                if certify_slot(&set, *s, &ops) {
                     assert!(
                         pairwise_all_overlap(&set, *s),
                         "gate certified a violating head: slot {s} in {set:?}"
@@ -454,101 +336,82 @@ mod tests {
     }
 
     #[test]
-    fn touch_then_certify_matches_fresh_build() {
-        let set = vec![
-            (0usize, vec![1, 0, 0], vec![9, 8, 8]),
-            (1, vec![2, 1, 0], vec![8, 9, 8]),
-            (2, vec![0, 0, 2], vec![3, 3, 9]),
-        ];
-        let mut sum = SweepSummary::new();
-        let ops = OpCounter::new();
-        for (s, _, _) in &set {
-            let _ = certify_slot(&mut sum, &set, *s, &ops);
+    fn sequential_and_parallel_gates_agree_in_verdict_and_billing() {
+        // Seeded head sets with ties (small value range), missing slots,
+        // and widths on both sides of a CHUNK_WIDTH multiple: the fused
+        // sequential gate must stay sound against the pairwise reference,
+        // and the row-folding parallel gate must return the same verdict
+        // and bill the same total at every thread count.
+        let mut rng = xorshift(0xD1B54A32D192ED03);
+        let (mut certified, mut rejected) = (0usize, 0usize);
+        for trial in 0..300 {
+            let slots = 2 + (rng() % 6) as usize;
+            let n = 1 + (rng() % 37) as usize;
+            let mut set: HeadSet = Vec::new();
+            for s in 0..slots {
+                if rng().is_multiple_of(4) {
+                    continue; // a removed or empty queue
+                }
+                let lo: Vec<u32> = (0..n).map(|_| (rng() % 4) as u32).collect();
+                let hi: Vec<u32> = lo.iter().map(|v| v + (rng() % 5) as u32).collect();
+                set.push((s, lo, hi));
+            }
+            if set.is_empty() {
+                continue;
+            }
+            let heads = heads_of(&set);
+            for (s, lo, hi) in &set {
+                let ops_seq = OpCounter::new();
+                let seq = certify(*s, lo, hi, &heads, &ops_seq, 1);
+                if seq {
+                    certified += 1;
+                    assert!(
+                        pairwise_all_overlap(&set, *s),
+                        "gate certified a violating head: trial {trial}, slot {s}"
+                    );
+                } else {
+                    rejected += 1;
+                }
+                for threads in [2usize, 4] {
+                    let ops_par = OpCounter::new();
+                    let par = certify(*s, lo, hi, &heads, &ops_par, threads);
+                    assert_eq!(
+                        seq, par,
+                        "verdict diverged: trial {trial}, slot {s}, {threads} threads"
+                    );
+                    assert_eq!(
+                        ops_seq.get(),
+                        ops_par.get(),
+                        "billing diverged: trial {trial}, slot {s}, {threads} threads"
+                    );
+                }
+            }
         }
-        // Drop slot 1, touch, and compare every gate verdict against a
-        // summary built fresh from the remaining two heads.
-        let remaining: Vec<_> = set.iter().filter(|(s, _, _)| *s != 1).cloned().collect();
-        sum.touch();
-        let mut fresh = SweepSummary::new();
-        for (s, _, _) in &remaining {
-            assert_eq!(
-                certify_slot(&mut sum, &remaining, *s, &ops),
-                certify_slot(&mut fresh, &remaining, *s, &ops),
-                "epoch invalidation diverged from fresh build at slot {s}"
-            );
-        }
-        assert_eq!(sum.len(), 2);
+        assert!(certified > 0 && rejected > 0, "both verdicts exercised");
     }
 
     #[test]
-    fn stale_epoch_is_never_reused_across_touch() {
-        // Materialize slot 0's row, then shift the other head and touch:
-        // the verdict must reflect the new configuration.
+    fn verdict_follows_the_heads_passed_in() {
+        // The gate keeps no state: shifting the other head past slot 0's
+        // high must flip the verdict on the very next call.
         let before = vec![
             (0usize, vec![1, 1], vec![9, 9]),
             (1, vec![2, 2], vec![8, 8]),
         ];
         let after = vec![
             (0usize, vec![1, 1], vec![9, 9]),
-            // Slot 1 advanced past slot 0's high: no longer overlapping.
             (1, vec![10, 10], vec![12, 12]),
         ];
-        let mut sum = SweepSummary::new();
         let ops = OpCounter::new();
-        assert!(certify_slot(&mut sum, &before, 0, &ops));
-        sum.touch();
-        assert!(!certify_slot(&mut sum, &after, 0, &ops));
-    }
-
-    #[test]
-    fn parallel_materialization_matches_sequential_bit_for_bit() {
-        // Random head sets, width intentionally not a multiple of the
-        // thread count or chunk width: every gate verdict and every billed
-        // total must match the sequential gate exactly.
-        let mut state = 0xD1B54A32D192ED03u64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for trial in 0..50 {
-            let k = 2 + (rng() % 5) as usize;
-            let n = 1 + (rng() % 37) as usize;
-            let set: Vec<(usize, Vec<u32>, Vec<u32>)> = (0..k)
-                .map(|s| {
-                    let lo: Vec<u32> = (0..n).map(|_| (rng() % 7) as u32).collect();
-                    let hi: Vec<u32> = lo.iter().map(|v| v + (rng() % 7) as u32).collect();
-                    (s, lo, hi)
-                })
-                .collect();
-            let heads = heads_of(&set);
-            for threads in [2usize, 3, 8] {
-                let mut seq = SweepSummary::new();
-                let mut par = SweepSummary::new();
-                let (ops_seq, ops_par) = (OpCounter::new(), OpCounter::new());
-                for (s, lo, hi) in &set {
-                    let a = seq.certify(*s, lo, hi, &heads, &ops_seq);
-                    let b = par.certify_par(*s, lo, hi, &heads, &ops_par, threads);
-                    assert_eq!(a, b, "verdict diverged: trial {trial}, slot {s}");
-                }
-                assert_eq!(
-                    ops_seq.get(),
-                    ops_par.get(),
-                    "billing diverged: trial {trial}"
-                );
-                assert_eq!(seq.v_excl, par.v_excl, "V rows diverged: trial {trial}");
-                assert_eq!(seq.u_excl, par.u_excl, "U rows diverged: trial {trial}");
-            }
-        }
+        assert!(certify_slot(&before, 0, &ops));
+        assert!(!certify_slot(&after, 0, &ops));
     }
 
     #[test]
     fn single_head_always_certifies() {
         let set = vec![(0usize, vec![1, 2], vec![3, 4])];
-        let mut sum = SweepSummary::new();
         let ops = OpCounter::new();
-        assert!(certify_slot(&mut sum, &set, 0, &ops));
+        assert!(certify_slot(&set, 0, &ops));
         assert_eq!(ops.get(), 0, "nothing to compare against");
     }
 }

@@ -212,12 +212,14 @@ impl Deployment {
         }
     }
 
-    /// Fault injection: severs `p`'s uplink mid-run (see
-    /// [`NodeHandle::drop_uplink`]).
-    pub fn drop_uplink(&self, p: ProcessId) {
-        if let Some(h) = &self.handles[p.index()] {
-            h.drop_uplink();
-        }
+    /// Fault injection: severs `p`'s uplink once it has carried traffic
+    /// and waits for the reconnect (see [`NodeHandle::sever_uplink`]).
+    /// Returns whether both happened within `timeout`; `false` for a
+    /// crashed node.
+    pub fn sever_uplink(&self, p: ProcessId, timeout: Duration) -> bool {
+        self.handles[p.index()]
+            .as_ref()
+            .is_some_and(|h| h.sever_uplink(timeout))
     }
 
     /// Crash-stop failure: kills `p`'s entire thread bundle (listener,

@@ -30,7 +30,7 @@
 //! External control (the [`NodeHandle`]) never touches the reactor's
 //! state directly: shutdown is a flag the loop polls between waits,
 //! completion is a condvar the loop signals, and
-//! [`NodeHandle::drop_uplink`] severs a `try_clone` of the uplink socket
+//! [`NodeHandle::sever_uplink`] severs a `try_clone` of the uplink socket
 //! — the reactor observes the EOF like any other peer death.
 //!
 //! ## Session layer
@@ -180,7 +180,7 @@ struct Shared {
     done_cv: Condvar,
     counters: Counters,
     /// Live uplink socket, kept for fault injection
-    /// ([`NodeHandle::drop_uplink`]) — severing it from outside exercises
+    /// ([`NodeHandle::sever_uplink`]) — severing it from outside exercises
     /// the reconnect-with-resync path.
     uplink_stream: Mutex<Option<TcpStream>>,
     /// Where the reactor should dial its uplink. Re-targeted when the
@@ -230,11 +230,46 @@ impl NodeHandle {
     /// Fault injection: severs the current parent connection at the
     /// socket level. The reactor observes the EOF, backs off, reconnects,
     /// and the protocol resyncs — mid-run, with live traffic in flight.
-    pub fn drop_uplink(&self) {
-        let guard = self.shared.uplink_stream.lock().expect("uplink lock");
-        if let Some(stream) = guard.as_ref() {
-            let _ = stream.shutdown(Shutdown::Both);
+    ///
+    /// Waits until the uplink is connected and the node has sent an
+    /// interval frame before severing it, then waits until the reactor has
+    /// re-established it (the report's `reconnects` went up), so the fault
+    /// neither misses an uplink that is not up yet nor gets cut short by a
+    /// run that finishes inside the reconnect backoff. Returns `false` if
+    /// either wait outlasts `timeout`.
+    pub fn sever_uplink(&self, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        let counters = &self.shared.counters;
+        let poll = || {
+            let live = Instant::now() < deadline;
+            if live {
+                thread::sleep(Duration::from_millis(1));
+            }
+            live
+        };
+        let before = loop {
+            {
+                let guard = self.shared.uplink_stream.lock().expect("uplink lock");
+                // The reactor bumps `reconnects` before publishing a new
+                // session's socket, so under this lock the count already
+                // includes the session being severed.
+                if let Some(stream) = guard.as_ref() {
+                    if counters.interval_frames_sent.load(Ordering::Relaxed) > 0 {
+                        let _ = stream.shutdown(Shutdown::Both);
+                        break counters.reconnects.load(Ordering::Relaxed);
+                    }
+                }
+            }
+            if !poll() {
+                return false;
+            }
+        };
+        while counters.reconnects.load(Ordering::Relaxed) == before {
+            if !poll() {
+                return false;
+            }
         }
+        true
     }
 
     /// Stops the node and collects its report. The reactor notices the

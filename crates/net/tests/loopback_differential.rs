@@ -135,11 +135,15 @@ fn loopback_matches_simnet_across_forced_reconnects() {
     let mut dep = Deployment::launch(&tree, &config).expect("launch failed");
     dep.feed_execution(&exec, config.event_pacing);
     // Sever two uplinks mid-run: an internal node (relays its whole
-    // subtree) and a leaf.
-    std::thread::sleep(Duration::from_millis(6));
-    dep.drop_uplink(ProcessId(1));
-    std::thread::sleep(Duration::from_millis(10));
-    dep.drop_uplink(ProcessId(5));
+    // subtree) and a leaf. Each sever waits until the uplink has carried
+    // a report and then for its reconnect, so neither can land before the
+    // uplink is up or be cut short by the end of the run.
+    for p in [ProcessId(1), ProcessId(5)] {
+        assert!(
+            dep.sever_uplink(p, Duration::from_secs(10)),
+            "uplink of {p:?} was not severed and re-established in time"
+        );
+    }
     let report = dep.finish(&config).expect("loopback run failed");
 
     assert!(!report.timed_out, "run did not recover from the drops");

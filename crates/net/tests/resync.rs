@@ -62,8 +62,10 @@ fn uplink_resyncs_with_standalone_frame_after_disconnect() {
     };
     let mut dep = Deployment::launch(&tree, &config).expect("launch failed");
     dep.feed_execution(&exec, config.event_pacing);
-    std::thread::sleep(Duration::from_millis(12));
-    dep.drop_uplink(ProcessId(1));
+    assert!(
+        dep.sever_uplink(ProcessId(1), Duration::from_secs(10)),
+        "uplink was not severed and re-established in time"
+    );
     let report = dep.finish(&config).expect("loopback run failed");
     assert!(!report.timed_out, "run did not recover from the drop");
 
