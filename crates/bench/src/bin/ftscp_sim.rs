@@ -14,8 +14,8 @@
 //! workload shape, full 4-ary trees at n ∈ {64, 256, 1024, 4096}),
 //! sharding the independent `(point × sweep mode)` deployments across the
 //! machine's cores, and writes `BENCH_hotpath.json` at the repository
-//! root: overlap comparisons full vs incremental vs aggregate sweep (with
-//! runtime assertions that all three produce bit-identical detections),
+//! root: overlap comparisons full vs aggregate sweep (with runtime
+//! assertions that both produce bit-identical detections),
 //! logical vs deep clock clones, encoded bytes per interval dense vs
 //! delta, a `parallel_sweep` section timing `SweepMode::AggregateParallel`
 //! against sequential `Aggregate` on wide sink banks (n = 1024 and 4096)
@@ -114,7 +114,7 @@ struct CodecRun {
 }
 
 /// One measured size point of the `--bench-json` suite, assembled from
-/// its three [`ModeRun`]s and one [`CodecRun`].
+/// its two [`ModeRun`]s and one [`CodecRun`].
 struct BenchPoint {
     n: usize,
     h: u32,
@@ -123,7 +123,6 @@ struct BenchPoint {
     intervals: usize,
     detections: usize,
     ops_full: u64,
-    ops_incr: u64,
     ops_agg: u64,
     gate_hits: u64,
     gate_misses: u64,
@@ -133,7 +132,6 @@ struct BenchPoint {
     standalone_bytes: usize,
     stateful_bytes: usize,
     elapsed_full_ms: f64,
-    elapsed_incr_ms: f64,
     elapsed_agg_ms: f64,
 }
 
@@ -831,9 +829,9 @@ fn bench_tenancy() -> Vec<TenancyPoint> {
 ///
 /// The cross-checks are the bit-identity contract of the sweep modes,
 /// asserted at runtime on every point: identical faultcheck fingerprints
-/// *and* identical solution sequences across `Full`, `Incremental`, and
-/// `Aggregate`. The clean `h = 5` row must also show the headline
-/// `≥ 10×` comparison saving of the aggregate-summary gate.
+/// *and* identical solution sequences across `Full` and `Aggregate`. The
+/// clean `h = 5` row must also show the headline `≥ 10×` comparison
+/// saving of the aggregate-summary gate.
 fn bench_points() -> Vec<BenchPoint> {
     use ftscp_intervals::SweepMode;
 
@@ -841,12 +839,8 @@ fn bench_points() -> Vec<BenchPoint> {
         .iter()
         .flat_map(|&(skip, solo)| BENCH_HEIGHTS.iter().map(move |&h| (h, skip, solo)))
         .collect();
-    const MODES: [SweepMode; 3] = [
-        SweepMode::Full,
-        SweepMode::Incremental,
-        SweepMode::Aggregate,
-    ];
-    const JOBS_PER_POINT: usize = MODES.len() + 1; // 3 sweep modes + codec
+    const MODES: [SweepMode; 2] = [SweepMode::Full, SweepMode::Aggregate];
+    const JOBS_PER_POINT: usize = MODES.len() + 1; // 2 sweep modes + codec
 
     enum JobOut {
         Mode(ModeRun),
@@ -869,28 +863,18 @@ fn bench_points() -> Vec<BenchPoint> {
     for (pi, chunk) in outs.chunks(JOBS_PER_POINT).enumerate() {
         let (h, skip, solo) = grid[pi];
         let n = 4usize.pow(h);
-        let [JobOut::Mode(full), JobOut::Mode(incr), JobOut::Mode(agg), JobOut::Codec(codec)] =
-            chunk
-        else {
+        let [JobOut::Mode(full), JobOut::Mode(agg), JobOut::Codec(codec)] = chunk else {
             unreachable!("job kinds arrive in per-point order");
         };
-        // Bit-identity across all three sweep modes: same fingerprint,
-        // same explicit solution sequence.
-        for (name, run) in [("incremental", incr), ("aggregate", agg)] {
-            assert_eq!(
-                full.fingerprint, run.fingerprint,
-                "{name} sweep fingerprint diverged at n = {n}, skip = {skip}"
-            );
-            assert_eq!(
-                full.solutions, run.solutions,
-                "{name} sweep solution sequence diverged at n = {n}, skip = {skip}"
-            );
-        }
-        assert!(
-            incr.ops < full.ops,
-            "incremental sweep must do strictly fewer comparisons ({} >= {})",
-            incr.ops,
-            full.ops
+        // Bit-identity across the sweep modes: same fingerprint, same
+        // explicit solution sequence.
+        assert_eq!(
+            full.fingerprint, agg.fingerprint,
+            "aggregate sweep fingerprint diverged at n = {n}, skip = {skip}"
+        );
+        assert_eq!(
+            full.solutions, agg.solutions,
+            "aggregate sweep solution sequence diverged at n = {n}, skip = {skip}"
         );
         assert!(
             agg.ops < full.ops,
@@ -914,17 +898,15 @@ fn bench_points() -> Vec<BenchPoint> {
             intervals: codec.intervals,
             detections: agg.detections,
             ops_full: full.ops,
-            ops_incr: incr.ops,
             ops_agg: agg.ops,
             gate_hits: agg.gate_hits,
             gate_misses: agg.gate_misses,
-            clones_logical: incr.clones_logical,
-            clones_deep: incr.clones_deep,
+            clones_logical: agg.clones_logical,
+            clones_deep: agg.clones_deep,
             dense_bytes: codec.dense_bytes,
             standalone_bytes: codec.standalone_bytes,
             stateful_bytes: codec.stateful_bytes,
             elapsed_full_ms: full.elapsed_ms,
-            elapsed_incr_ms: incr.elapsed_ms,
             elapsed_agg_ms: agg.elapsed_ms,
         });
     }
@@ -982,12 +964,10 @@ fn render_bench_json(
             p.n, p.h, p.skip, p.solo, p.intervals, p.detections
         ));
         out.push_str(&format!(
-            "     \"overlap_comparisons\": {{\"full_sweep\": {}, \"incremental\": {}, \
-             \"aggregate\": {}, \"saved_pct\": {:.2}, \"aggregate_saved_pct\": {:.2}}},\n",
+            "     \"overlap_comparisons\": {{\"full_sweep\": {}, \"aggregate\": {}, \
+             \"aggregate_saved_pct\": {:.2}}},\n",
             p.ops_full,
-            p.ops_incr,
             p.ops_agg,
-            pct_saved(p.ops_full, p.ops_incr),
             pct_saved(p.ops_full, p.ops_agg)
         ));
         out.push_str(&format!(
@@ -1007,9 +987,8 @@ fn render_bench_json(
             per_iv(p.stateful_bytes)
         ));
         out.push_str(&format!(
-            "     \"elapsed_ms\": {{\"full\": {:.3}, \"incremental\": {:.3}, \"aggregate\": {:.3}}}}}{}\n",
+            "     \"elapsed_ms\": {{\"full\": {:.3}, \"aggregate\": {:.3}}}}}{}\n",
             p.elapsed_full_ms,
-            p.elapsed_incr_ms,
             p.elapsed_agg_ms,
             if i + 1 < points.len() { "," } else { "" }
         ));
@@ -1136,7 +1115,7 @@ fn run_bench_json() {
 /// in file order — a deliberately dumb extractor for the regression gate
 /// (no serde_json in the build environment; the file is our own
 /// hand-formatted flat output). Scoping to the section keeps key names
-/// like `"incremental"` from matching in `elapsed_ms`, which is
+/// like `"aggregate"` from matching in `elapsed_ms`, which is
 /// machine-dependent and must not be gated.
 fn extract_all(json: &str, section: &str, key: &str) -> Vec<f64> {
     let sec_pat = format!("\"{section}\": {{");
@@ -1170,9 +1149,8 @@ fn extract_all(json: &str, section: &str, key: &str) -> Vec<f64> {
 /// against the committed `BENCH_hotpath.json`. Wall-clock times are
 /// machine-dependent and deliberately not gated.
 fn run_bench_check() {
-    const GATED_KEYS: [(&str, &str); 14] = [
+    const GATED_KEYS: [(&str, &str); 13] = [
         ("overlap_comparisons", "full_sweep"),
-        ("overlap_comparisons", "incremental"),
         ("overlap_comparisons", "aggregate"),
         ("bytes_per_interval", "dense"),
         ("bytes_per_interval", "delta_standalone"),

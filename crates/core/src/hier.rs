@@ -28,6 +28,8 @@ pub struct HierarchicalDetector {
     /// Optional per-node solution logs (group-level monitoring).
     node_solution_log: Option<Vec<Vec<ftscp_intervals::Solution>>>,
     ops: OpCounter,
+    /// Sweep mode of every engine, re-applied to rejoined ones.
+    sweep_mode: ftscp_intervals::SweepMode,
     /// Logical feed counter used as the detection "time".
     feeds: u64,
 }
@@ -53,6 +55,7 @@ impl HierarchicalDetector {
             node_solutions: vec![0; n],
             node_solution_log: None,
             ops,
+            sweep_mode: ftscp_intervals::SweepMode::default(),
             feeds: 0,
         }
     }
@@ -133,6 +136,7 @@ impl HierarchicalDetector {
             node_solutions: vec![0; n],
             node_solution_log: None,
             ops,
+            sweep_mode: ftscp_intervals::SweepMode::default(),
             feeds: 0,
         }
     }
@@ -143,6 +147,7 @@ impl HierarchicalDetector {
     /// shared [`ops`](Self::ops) counter differs — this is the knob the
     /// benchmark harness flips for its before/after comparison.
     pub fn with_sweep_mode(mut self, mode: ftscp_intervals::SweepMode) -> Self {
+        self.sweep_mode = mode;
         for slot in self.engines.iter_mut() {
             if let Some(e) = slot.take() {
                 *slot = Some(e.with_sweep_mode(mode));
@@ -428,8 +433,11 @@ impl HierarchicalDetector {
         // Restore the engine; it rejoins as a leaf: drop stale child
         // queues (their subtrees were re-parented at failure time). Any
         // solutions released by the removals are legitimate (the dedup set
-        // came along in the checkpoint) and propagate normally.
-        let mut engine = NodeEngine::restore(checkpoint);
+        // came along in the checkpoint) and propagate normally. The engine
+        // bills the shared counter and sweeps in the detector's mode.
+        let mut engine = NodeEngine::restore(checkpoint)
+            .with_ops_counter(self.ops.clone())
+            .with_sweep_mode(self.sweep_mode);
         engine.set_root(false);
         engine.set_level(1);
         let mut outputs = Vec::new();

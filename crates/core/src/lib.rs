@@ -44,7 +44,6 @@ pub mod faultcheck;
 pub mod hier;
 pub mod membership;
 pub mod monitor;
-pub mod multi;
 pub mod protocol;
 pub mod registry;
 pub mod report;
@@ -52,9 +51,8 @@ pub mod transport;
 
 pub use engine::{EngineOutput, NodeEngine};
 pub use hier::HierarchicalDetector;
-pub use multi::{MultiDetector, PredicateId};
 pub use protocol::{ConnCodec, DetectMsg};
-pub use registry::{PredicateRegistry, RegistryStats, TenantSlot, TenantSpec};
+pub use registry::{PredicateId, PredicateRegistry, RegistryStats, TenantSlot, TenantSpec};
 pub use report::GlobalDetection;
 pub use transport::{MonitorCore, Transport};
 

@@ -142,7 +142,7 @@ impl MonitorApp {
         let Some(cp) = self.stable_checkpoint.clone() else {
             return false;
         };
-        let mut engine = NodeEngine::restore(cp);
+        let mut engine = NodeEngine::restore(cp).with_sweep_mode(self.core.config.sweep_mode);
         engine.set_root(false);
         engine.set_level(1);
         // Drop stale child queues; discard any released (stale) outputs —

@@ -24,8 +24,7 @@
 //!   pays only for events that can affect its predicate, so aggregate
 //!   cost grows with Σ|S_k|, not `tenants × events`.
 //!
-//! The naive alternative — offer every event to every tenant, as the
-//! pre-registry [`MultiDetector`](crate::MultiDetector) did — is kept as
+//! The naive alternative — offer every event to every tenant — is kept as
 //! [`ingest_broadcast`]: detection outcomes are bit-identical (a
 //! non-member feed is a no-op inside the tenant's detector), only the
 //! billed routing cost differs. The benchmark harness asserts the
@@ -41,14 +40,18 @@
 //! [`ingest_broadcast`]: PredicateRegistry::ingest_broadcast
 
 use crate::hier::HierarchicalDetector;
-use crate::multi::PredicateId;
 use crate::nid;
 use crate::report::GlobalDetection;
 use ftscp_intervals::Interval;
 use ftscp_simnet::Topology;
 use ftscp_tree::SpanningTree;
 use ftscp_vclock::{ClockPool, ProcessId, VectorClock};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+
+/// Identifies one monitored predicate (tenant).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+pub struct PredicateId(pub u32);
 
 /// Declares one tenant: a predicate id plus its local-predicate set.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -311,9 +314,8 @@ impl PredicateRegistry {
         }
     }
 
-    /// Ingests one event the way the naive pre-registry
-    /// [`MultiDetector`](crate::MultiDetector) did: every tenant is
-    /// offered every event, relevant or not. A non-member feed is a no-op
+    /// Ingests one event the naive way: every tenant is offered every
+    /// event, relevant or not. A non-member feed is a no-op
     /// inside the tenant's detector, so detection outcomes (solution
     /// sequences) are bit-identical to [`ingest`](Self::ingest) — only
     /// the billed routing cost differs. Kept as the differential baseline.
@@ -330,14 +332,12 @@ impl PredicateRegistry {
         }
     }
 
-    /// Feeds an interval to a *single* tenant, bypassing routing — the
-    /// per-predicate streams of the legacy [`MultiDetector`] façade.
+    /// Feeds an interval to a *single* tenant, bypassing routing — for
+    /// predicates that each have their own event stream.
     ///
     /// # Panics
     ///
     /// Panics on an unknown predicate id.
-    ///
-    /// [`MultiDetector`]: crate::MultiDetector
     pub fn feed_tenant(&mut self, pred: PredicateId, interval: Interval) {
         let interval = self.interned(interval);
         let idx = self.slot_index(pred);
@@ -424,47 +424,67 @@ mod tests {
     fn indexed_and_broadcast_routing_agree() {
         let n = 13;
         let tree = SpanningTree::balanced_dary(n, 3);
-        let specs = vec![
-            TenantSpec::full(PredicateId(0)),
-            TenantSpec::restricted(PredicateId(1), vec![ProcessId(4), ProcessId(5)]),
-            TenantSpec::restricted(
-                PredicateId(2),
-                vec![ProcessId(1), ProcessId(7), ProcessId(12)],
+        let fleets = [
+            (
+                vec![
+                    TenantSpec::full(PredicateId(0)),
+                    TenantSpec::restricted(PredicateId(1), vec![ProcessId(4), ProcessId(5)]),
+                    TenantSpec::restricted(
+                        PredicateId(2),
+                        vec![ProcessId(1), ProcessId(7), ProcessId(12)],
+                    ),
+                    TenantSpec::restricted(PredicateId(3), vec![ProcessId(9)]),
+                ],
+                23,
             ),
-            TenantSpec::restricted(PredicateId(3), vec![ProcessId(9)]),
+            (
+                vec![
+                    TenantSpec::full(PredicateId(0)),
+                    TenantSpec::restricted(PredicateId(1), vec![ProcessId(3), ProcessId(10)]),
+                    TenantSpec::restricted(
+                        PredicateId(2),
+                        vec![ProcessId(1), ProcessId(5), ProcessId(6)],
+                    ),
+                ],
+                77,
+            ),
         ];
-        let mut indexed = PredicateRegistry::new(&tree, &specs);
-        let mut broadcast = PredicateRegistry::new(&tree, &specs);
-        let e = exec(n, 5, 23);
-        for iv in e.intervals_interleaved() {
-            indexed.ingest(iv.clone());
-            broadcast.ingest_broadcast(iv.clone());
+        for (specs, seed) in fleets {
+            let mut indexed = PredicateRegistry::new(&tree, &specs);
+            let mut broadcast = PredicateRegistry::new(&tree, &specs);
+            for iv in exec(n, 5, seed).intervals_interleaved() {
+                indexed.ingest(iv.clone());
+                broadcast.ingest_broadcast(iv.clone());
+            }
+            assert_eq!(
+                sequences(&indexed),
+                sequences(&broadcast),
+                "relevance filtering must not change any tenant's solutions"
+            );
+            // Same *relevant* work, very different routing cost.
+            let si = indexed.stats();
+            let sb = broadcast.stats();
+            assert_eq!(
+                indexed
+                    .tenants()
+                    .map(|t| t.relevant_feeds())
+                    .collect::<Vec<_>>(),
+                broadcast
+                    .tenants()
+                    .map(|t| t.relevant_feeds())
+                    .collect::<Vec<_>>()
+            );
+            assert_eq!(
+                sb.broadcast_touches,
+                si.events_ingested * specs.len() as u64
+            );
+            assert!(
+                si.tenant_touches < sb.broadcast_touches,
+                "filter must route fewer touches: {} vs {}",
+                si.tenant_touches,
+                sb.broadcast_touches
+            );
         }
-        assert_eq!(
-            sequences(&indexed),
-            sequences(&broadcast),
-            "relevance filtering must not change any tenant's solutions"
-        );
-        // Same *relevant* work, very different routing cost.
-        let si = indexed.stats();
-        let sb = broadcast.stats();
-        assert_eq!(
-            indexed
-                .tenants()
-                .map(|t| t.relevant_feeds())
-                .collect::<Vec<_>>(),
-            broadcast
-                .tenants()
-                .map(|t| t.relevant_feeds())
-                .collect::<Vec<_>>()
-        );
-        assert_eq!(sb.broadcast_touches, si.events_ingested * 4);
-        assert!(
-            si.tenant_touches < sb.broadcast_touches,
-            "filter must route fewer touches: {} vs {}",
-            si.tenant_touches,
-            sb.broadcast_touches
-        );
     }
 
     #[test]
@@ -544,13 +564,16 @@ mod tests {
         let specs = vec![
             TenantSpec::restricted(PredicateId(0), vec![ProcessId(3), ProcessId(4)]),
             TenantSpec::restricted(PredicateId(1), vec![ProcessId(5), ProcessId(6)]),
+            TenantSpec::full(PredicateId(2)),
         ];
         let mut reg = PredicateRegistry::new(&tree, &specs);
         reg.fail_node(ProcessId(3), &topo);
-        assert!(!reg
-            .detector(PredicateId(0))
-            .tree()
-            .contains(ftscp_simnet::NodeId(3)));
+        // Every view holding node 3 repairs.
+        for k in [0, 2] {
+            let view = reg.detector(PredicateId(k)).tree();
+            assert!(!view.contains(ftscp_simnet::NodeId(3)));
+        }
+        assert_eq!(reg.detector(PredicateId(2)).tree().node_count(), 6);
         // Tenant 1 never contained node 3; its view is untouched.
         assert!(reg
             .detector(PredicateId(1))
@@ -583,6 +606,31 @@ mod tests {
         // tenants consumed it.
         assert!(reg.pool().misses() <= 2 * 21, "one alloc per bound clock");
         assert!(reg.pool().len() > 0);
+        // Sharing clocks never couples tenants: every full tenant fed the
+        // same stream detects the same thing.
+        let seqs = sequences(&reg);
+        assert!(seqs.iter().all(|s| *s == seqs[0]));
+    }
+
+    #[test]
+    fn independent_predicates_detect_independently() {
+        let n = 7;
+        let tree = SpanningTree::balanced_dary(n, 2);
+        let specs = [
+            TenantSpec::full(PredicateId(0)),
+            TenantSpec::full(PredicateId(1)),
+        ];
+        let mut reg = PredicateRegistry::new(&tree, &specs);
+        // Each predicate has its own stream: 4 clean rounds vs 2.
+        for iv in exec(n, 4, 1).intervals_interleaved() {
+            reg.feed_tenant(PredicateId(0), iv.clone());
+        }
+        for iv in exec(n, 2, 2).intervals_interleaved() {
+            reg.feed_tenant(PredicateId(1), iv.clone());
+        }
+        assert_eq!(reg.root_solutions(PredicateId(0)).len(), 4);
+        assert_eq!(reg.root_solutions(PredicateId(1)).len(), 2);
+        assert_eq!(reg.total_detections(), 6);
     }
 
     #[test]

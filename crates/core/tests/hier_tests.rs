@@ -2,7 +2,7 @@
 //! Figure 2 scenario and on random executions.
 
 use ftscp_core::HierarchicalDetector;
-use ftscp_intervals::IntervalRef;
+use ftscp_intervals::{IntervalRef, SweepMode};
 use ftscp_simnet::{NodeId, Topology};
 use ftscp_tree::SpanningTree;
 use ftscp_vclock::ProcessId;
@@ -251,6 +251,70 @@ fn crash_recovery_rejoins_and_detection_resumes() {
         final_detections.last().unwrap().covered_processes().len(),
         n,
         "full coverage restored after recovery"
+    );
+    det.verify_detections(|p, s| exec.intervals[p.index()].get(s as usize).cloned())
+        .unwrap();
+}
+
+#[test]
+fn rejoined_engine_keeps_detector_sweep_mode_and_counter() {
+    // 0 → {1, 2}, 1 → {3, 4}, 2 → {5, 6}; the 3–5 and 4–5 links make the
+    // rejoined node 5 the only adopter for 1's orphans.
+    let n = 7;
+    let topo = Topology::from_edges(
+        n,
+        &[
+            (0, 1),
+            (0, 2),
+            (1, 3),
+            (1, 4),
+            (2, 5),
+            (2, 6),
+            (3, 5),
+            (4, 5),
+        ],
+    );
+    let tree = SpanningTree::balanced_dary(n, 2);
+    let exec = RandomExecution::builder(n)
+        .intervals_per_process(9)
+        .seed(41)
+        .build();
+    let all: Vec<_> = exec.intervals_interleaved().into_iter().cloned().collect();
+    let third = all.len() / 3;
+    let mut det = HierarchicalDetector::new(&tree).with_sweep_mode(SweepMode::Full);
+
+    for iv in &all[..third] {
+        det.feed(iv.clone());
+    }
+    let checkpoint = det.checkpoint_node(ProcessId(5)).expect("node alive");
+    det.fail_node(ProcessId(5), &topo);
+    det.rejoin_node(ProcessId(5), checkpoint, &topo).unwrap();
+    det.fail_node(ProcessId(1), &topo);
+    assert_eq!(det.tree().parent(NodeId(3)), Some(NodeId(5)));
+    assert_eq!(det.tree().parent(NodeId(4)), Some(NodeId(5)));
+
+    // A feed of node 5's own interval that emits nothing at node 5
+    // reaches no other engine, so whatever it bills is node 5's work.
+    // Node 5 goes first in each round, while its children's last heads
+    // are still queued.
+    let mut rest = all[third..].to_vec();
+    rest.sort_by_key(|iv| (iv.seq, iv.source != ProcessId(5)));
+    let mut node5_billed = 0;
+    for iv in &rest {
+        let (ops, sols) = (det.ops().get(), det.solutions_at(ProcessId(5)));
+        det.feed(iv.clone());
+        if iv.source == ProcessId(5) && det.solutions_at(ProcessId(5)) == sols {
+            node5_billed += det.ops().get() - ops;
+        }
+    }
+    assert_eq!(
+        det.bank_stats_total().gate_hits,
+        0,
+        "the rejoined engine must sweep in the detector's Full mode"
+    );
+    assert!(
+        node5_billed > 0,
+        "the rejoined engine must bill the detector's shared counter"
     );
     det.verify_detections(|p, s| exec.intervals[p.index()].get(s as usize).cloned())
         .unwrap();

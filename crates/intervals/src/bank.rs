@@ -28,7 +28,6 @@ use crate::summary;
 use ftscp_vclock::{order, OpCounter};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use std::collections::HashMap;
 use std::collections::HashSet;
 use std::collections::VecDeque;
 
@@ -64,10 +63,10 @@ pub struct BankStats {
     pub peak_resident: usize,
     /// Peak length of any single queue.
     pub peak_queue_len: usize,
-    /// Head-pair verdicts answered from the incremental cache (each hit
-    /// skips two vector-clock comparisons).
+    /// Always 0. Kept only because the repository benchmark (`perfbench`)
+    /// reads it, until a benchmark change removes it.
     pub cache_hits: u64,
-    /// Head-pair verdicts computed and cached.
+    /// Always 0, like [`cache_hits`](Self::cache_hits).
     pub cache_misses: u64,
     /// Sweep visits certified overlap-clean by the `⊓`-summary gate
     /// ([`SweepMode::Aggregate`] only): the whole pairwise row was skipped.
@@ -83,14 +82,6 @@ pub enum SweepMode {
     /// Recompute both directed comparisons on every visit — the original
     /// behavior, kept as the differential oracle in tests and benchmarks.
     Full,
-    /// Opt-in: cache the pairwise verdict per (queue pair, head
-    /// generations): a head-pair whose heads are unchanged since its last
-    /// evaluation is answered from the cache with zero comparison cost.
-    /// Deletion and emission decisions are bit-identical to
-    /// [`SweepMode::Full`] — only the operation count changes. The cache
-    /// answers almost no lookups on real workloads; the mode survives only
-    /// until its deletion.
-    Incremental,
     /// The default: test each sweep visit against the `⊓` of the other
     /// heads ([`summary::certify`], Theorem 1 / Lemma 1) in `O(n)` instead
     /// of against all `k − 1` other heads, falling back to the exact
@@ -134,18 +125,6 @@ impl SweepMode {
             SweepMode::Aggregate | SweepMode::AggregateParallel { .. }
         )
     }
-}
-
-/// Cached directed-overlap verdict for the heads of one queue pair,
-/// valid only while both head generations match.
-#[derive(Clone, Copy, Debug)]
-struct PairVerdict {
-    gen_lo: u64,
-    gen_hi: u64,
-    /// `min(head(lo_slot)) < max(head(hi_slot))`.
-    lo_lt: bool,
-    /// `min(head(hi_slot)) < max(head(lo_slot))`.
-    hi_lt: bool,
 }
 
 /// Serializable image of one queue (see [`QueueBank::snapshot`]).
@@ -300,14 +279,6 @@ pub struct QueueBank {
     trace: Option<Vec<BankEvent>>,
     /// Sweep evaluation strategy.
     mode: SweepMode,
-    /// Per-slot head generation: bumped whenever a slot's head changes
-    /// (new head enqueued into an empty queue, head popped, slot reused).
-    /// Indexed like `slots`; survives slot removal so stale cache entries
-    /// can never match a reused slot id.
-    head_gens: Vec<u64>,
-    /// Pairwise verdict cache keyed by `(min_idx, max_idx)`. Transient:
-    /// never snapshotted, rebuilt on demand after a restore.
-    pair_cache: HashMap<(usize, usize), PairVerdict>,
 }
 
 /// Calls `f` with the current `(lo, hi)` component slices of every queue
@@ -346,8 +317,6 @@ impl QueueBank {
             emitted: HashSet::new(),
             trace: None,
             mode: SweepMode::default(),
-            head_gens: vec![0; queues],
-            pair_cache: HashMap::new(),
         }
     }
 
@@ -439,14 +408,12 @@ impl QueueBank {
             if self.slots[i].is_none() {
                 self.slots[i] = Some(QueueSlot::default());
                 self.active += 1;
-                self.head_gens[i] += 1;
                 let slot = SlotId(i as u32);
                 self.record(BankEvent::QueueAdded { slot });
                 return slot;
             }
         }
         self.slots.push(Some(QueueSlot::default()));
-        self.head_gens.push(0);
         self.active += 1;
         let slot = SlotId((self.slots.len() - 1) as u32);
         self.record(BankEvent::QueueAdded { slot });
@@ -464,8 +431,6 @@ impl QueueBank {
         }
         self.slots[idx] = None;
         self.active -= 1;
-        self.head_gens[idx] += 1;
-        self.pair_cache.retain(|&(a, b), _| a != idx && b != idx);
         self.record(BankEvent::QueueRemoved { slot });
         if self.active == 0 {
             return Vec::new();
@@ -511,7 +476,6 @@ impl QueueBank {
         self.record(BankEvent::Enqueued { slot, id });
 
         if new_len == 1 {
-            self.head_gens[idx] += 1;
             self.run_detection(BTreeSet::from([idx]))
         } else {
             Vec::new()
@@ -528,7 +492,6 @@ impl QueueBank {
         let mut vanished = false;
         if let Some(q) = self.slots[idx].as_mut() {
             if let Some(iv) = q.items.pop_front() {
-                self.head_gens[idx] += 1;
                 popped = Some(trace_id(&iv));
                 q.discarded += 1;
                 if swept {
@@ -591,7 +554,11 @@ impl QueueBank {
     }
 
     /// Restores a bank from a [`snapshot`](Self::snapshot). The operation
-    /// counter starts fresh (work done before the crash is not re-billed).
+    /// counter starts fresh (work done before the crash is not re-billed)
+    /// and the sweep mode is the default: a caller running a shared
+    /// counter or another mode re-applies them with
+    /// [`with_ops_counter`](Self::with_ops_counter) and
+    /// [`with_sweep_mode`](Self::with_sweep_mode).
     pub fn restore(snapshot: BankSnapshot) -> QueueBank {
         let slots: Vec<Option<QueueSlot>> = snapshot
             .slots
@@ -607,7 +574,6 @@ impl QueueBank {
             })
             .collect();
         let active = slots.iter().filter(|s| s.is_some()).count();
-        let gens = slots.len();
         QueueBank {
             slots,
             active,
@@ -617,66 +583,32 @@ impl QueueBank {
             emitted: snapshot.emitted.into_iter().collect(),
             trace: None,
             mode: SweepMode::default(),
-            // The verdict cache is transient: start cold with fresh
-            // generations and let it warm back up.
-            head_gens: vec![0; gens],
-            pair_cache: HashMap::new(),
         }
     }
 
-    /// Returns `(min(x) < max(y), min(y) < max(x))` for `x = head(a)`,
-    /// `y = head(b)`, or `None` if either queue lacks a head.
-    ///
-    /// In [`SweepMode::Incremental`] the answer is served from the pair
-    /// cache when both head generations are unchanged since the verdict
-    /// was computed — billing zero comparison units — and computed (and
-    /// cached) otherwise. [`SweepMode::Full`] always recomputes, exactly
-    /// like the pre-cache sweep.
-    fn head_verdict(&mut self, a: usize, b: usize) -> Option<(bool, bool)> {
-        let x = self.slots.get(a)?.as_ref()?.items.front()?;
-        let y = self.slots.get(b)?.as_ref()?.items.front()?;
-        if matches!(self.mode, SweepMode::Full) {
-            let x_lt = order::strictly_less_counted(&x.lo, &y.hi, &self.ops);
-            let y_lt = order::strictly_less_counted(&y.lo, &x.hi, &self.ops);
-            return Some((x_lt, y_lt));
+    /// One cell of the pairwise row (lines (11)–(14)) for the visited head `x`
+    /// of queue `a`: `(min(x) < max(y), min(y) < max(x), id(y))` for the head
+    /// `y` of queue `b`, or `None` if `b` is `a` or has no head.
+    /// [`SweepMode::Full`] compares component by component; the aggregate
+    /// modes use the word-chunked comparator.
+    fn row_cell(&self, a: usize, x: &Interval, b: usize) -> Option<(bool, bool, TraceId)> {
+        if b == a {
+            return None;
         }
-        if self.mode.is_aggregate() {
-            // Pairwise fallback rows (summary gate failed) run through the
-            // word-chunked comparator; no pair cache in this mode.
-            let x_lt = order::strictly_less_chunked_counted(&x.lo, &y.hi, &self.ops);
-            let y_lt = order::strictly_less_chunked_counted(&y.lo, &x.hi, &self.ops);
-            return Some((x_lt, y_lt));
-        }
-        let key = (a.min(b), a.max(b));
-        let (gen_lo, gen_hi) = (self.head_gens[key.0], self.head_gens[key.1]);
-        if let Some(v) = self.pair_cache.get(&key) {
-            if v.gen_lo == gen_lo && v.gen_hi == gen_hi {
-                self.stats.cache_hits += 1;
-                return Some(if a == key.0 {
-                    (v.lo_lt, v.hi_lt)
-                } else {
-                    (v.hi_lt, v.lo_lt)
-                });
-            }
-        }
-        let (p, q) = if a == key.0 { (x, y) } else { (y, x) };
-        let lo_lt = order::strictly_less_counted(&p.lo, &q.hi, &self.ops);
-        let hi_lt = order::strictly_less_counted(&q.lo, &p.hi, &self.ops);
-        self.pair_cache.insert(
-            key,
-            PairVerdict {
-                gen_lo,
-                gen_hi,
-                lo_lt,
-                hi_lt,
-            },
-        );
-        self.stats.cache_misses += 1;
-        Some(if a == key.0 {
-            (lo_lt, hi_lt)
+        let y = self.slots[b].as_ref()?.items.front()?;
+        let ops = &self.ops;
+        let (x_lt, y_lt) = if self.mode == SweepMode::Full {
+            (
+                order::strictly_less_counted(&x.lo, &y.hi, ops),
+                order::strictly_less_counted(&y.lo, &x.hi, ops),
+            )
         } else {
-            (hi_lt, lo_lt)
-        })
+            (
+                order::strictly_less_chunked_counted(&x.lo, &y.hi, ops),
+                order::strictly_less_chunked_counted(&y.lo, &x.hi, ops),
+            )
+        };
+        Some((x_lt, y_lt, trace_id(y)))
     }
 
     /// Resolved worker budget for parallel sweep regions: 1 unless the
@@ -699,23 +631,16 @@ impl QueueBank {
                 let mut culprits: std::collections::BTreeMap<usize, TraceId> =
                     std::collections::BTreeMap::new();
                 for &a in &updated {
-                    let Some(x_id) = self.slots[a]
-                        .as_ref()
-                        .and_then(|q| q.items.front())
-                        .map(trace_id)
-                    else {
+                    let Some(x) = self.slots[a].as_ref().and_then(|q| q.items.front()) else {
                         continue;
                     };
+                    let x_id = trace_id(x);
                     // Per-visit region size (other heads × clock width):
                     // with a worker budget > 1, regions past PAR_MIN_REGION
                     // shard across scoped threads; everything else runs the
                     // sequential Aggregate code verbatim.
                     let threads = self.sweep_threads();
-                    let width = self.slots[a]
-                        .as_ref()
-                        .and_then(|q| q.items.front())
-                        .map_or(0, |iv| iv.lo.components().len());
-                    let region = self.active.saturating_sub(1) * width;
+                    let region = self.active.saturating_sub(1) * x.lo.components().len();
                     let region_threads = if threads > 1 && region >= par::PAR_MIN_REGION {
                         threads
                     } else {
@@ -727,15 +652,11 @@ impl QueueBank {
                         // this visit deletes nothing (the overwhelmingly
                         // common case); the pairwise fallback below runs
                         // only to identify which head(s) to delete.
-                        let iv = self.slots[a]
-                            .as_ref()
-                            .and_then(|q| q.items.front())
-                            .expect("head id was just read");
                         let certified = with_head_bounds(&self.slots, |heads| {
                             summary::certify(
                                 a,
-                                iv.lo.components(),
-                                iv.hi.components(),
+                                x.lo.components(),
+                                x.hi.components(),
                                 heads,
                                 &self.ops,
                                 region_threads,
@@ -747,63 +668,8 @@ impl QueueBank {
                         }
                         self.stats.gate_misses += 1;
                     }
-                    if region_threads > 1 {
-                        // Parallel pairwise fallback row. The sequential
-                        // row visits every b without cross-b early exit and
-                        // each (a, b) verdict reads only the two heads, so
-                        // per-b verdicts computed on any worker are the
-                        // same values; merging them in ascending b keeps
-                        // the first-wins culprit rule, and the shared
-                        // counter receives the same per-pair amounts in
-                        // some order — identical totals, Relaxed adds.
-                        let ivs: Vec<Option<&Interval>> = self
-                            .slots
-                            .iter()
-                            .map(|s| s.as_ref().and_then(|q| q.items.front()))
-                            .collect();
-                        let x = ivs[a].expect("head id was just read");
-                        let ops = &self.ops;
-                        let rows = par::run_partitioned(
-                            ivs.len(),
-                            region_threads * 4,
-                            region_threads,
-                            |r| {
-                                let mut out: Vec<(usize, bool, bool, TraceId)> = Vec::new();
-                                for b in r {
-                                    if b == a {
-                                        continue;
-                                    }
-                                    let Some(y) = ivs[b] else {
-                                        continue;
-                                    };
-                                    let x_lt =
-                                        order::strictly_less_chunked_counted(&x.lo, &y.hi, ops);
-                                    let y_lt =
-                                        order::strictly_less_chunked_counted(&y.lo, &x.hi, ops);
-                                    out.push((b, x_lt, y_lt, trace_id(y)));
-                                }
-                                out
-                            },
-                        );
-                        for (b, x_lt, y_lt, y_id) in rows.into_iter().flatten() {
-                            if !x_lt {
-                                new_updated.insert(b);
-                                culprits.entry(b).or_insert(x_id);
-                            }
-                            if !y_lt {
-                                new_updated.insert(a);
-                                culprits.entry(a).or_insert(y_id);
-                            }
-                        }
-                        continue;
-                    }
-                    for b in 0..self.slots.len() {
-                        if b == a {
-                            continue;
-                        }
-                        let Some((x_lt, y_lt)) = self.head_verdict(a, b) else {
-                            continue;
-                        };
+                    let cell = |b| self.row_cell(a, x, b);
+                    let mut mark = |b: usize, (x_lt, y_lt, y_id): (bool, bool, TraceId)| {
                         // Line (12): min(x) ≮ max(y) ⇒ y can never join a
                         // solution with x or any successor of x.
                         if !x_lt {
@@ -813,12 +679,34 @@ impl QueueBank {
                         // Line (14): min(y) ≮ max(x) ⇒ x is doomed likewise.
                         if !y_lt {
                             new_updated.insert(a);
-                            let y_id = self.slots[b]
-                                .as_ref()
-                                .and_then(|q| q.items.front())
-                                .map(trace_id)
-                                .expect("head_verdict saw a head");
                             culprits.entry(a).or_insert(y_id);
+                        }
+                    };
+                    if region_threads > 1 {
+                        // Parallel row. The sequential row visits every b
+                        // without cross-b early exit and each cell reads
+                        // only the two heads, so cells computed on any
+                        // worker are the same values; marking them in
+                        // ascending b keeps the first-wins culprit rule,
+                        // and the shared counter receives the same per-cell
+                        // amounts in some order — identical totals.
+                        let rows = par::run_partitioned(
+                            self.slots.len(),
+                            region_threads * 4,
+                            region_threads,
+                            |r| {
+                                r.filter_map(|b| cell(b).map(|c| (b, c)))
+                                    .collect::<Vec<_>>()
+                            },
+                        );
+                        for (b, c) in rows.into_iter().flatten() {
+                            mark(b, c);
+                        }
+                    } else {
+                        for b in 0..self.slots.len() {
+                            if let Some(c) = cell(b) {
+                                mark(b, c);
+                            }
                         }
                     }
                 }
@@ -895,7 +783,7 @@ impl QueueBank {
                     &self.ops,
                     self.sweep_threads(),
                 ),
-                _ => prune::approximate_removals(&refs, &self.ops),
+                SweepMode::Full => prune::approximate_removals(&refs, &self.ops),
             };
             debug_assert!(!removable.is_empty(), "Theorem 4: at least one removal");
             let mut pruned = BTreeSet::new();
@@ -1194,99 +1082,37 @@ mod tests {
         assert_eq!(bank.queue_count(), 2);
     }
 
-    /// Drives the same interval sequence through a Full and an Incremental
-    /// bank, returning `(full, incremental)` with their emitted solutions.
-    fn run_both(
-        queues: usize,
-        feed: impl Fn(&mut QueueBank) -> Vec<Solution>,
-    ) -> ((QueueBank, Vec<Solution>), (QueueBank, Vec<Solution>)) {
-        let mut full = QueueBank::new(queues).with_sweep_mode(SweepMode::Full);
-        let mut incr = QueueBank::new(queues).with_sweep_mode(SweepMode::Incremental);
-        let sols_full = feed(&mut full);
-        let sols_incr = feed(&mut incr);
-        ((full, sols_full), (incr, sols_incr))
-    }
-
-    #[test]
-    fn incremental_sweep_matches_full_and_costs_strictly_less() {
-        // A workload with multi-queue sweep rounds and a queue removal —
-        // the situations where the seed recomputes verdicts it already
-        // knows. 4 queues, interleaved arrivals, then a failure.
-        let feed = |bank: &mut QueueBank| {
-            let mut sols = Vec::new();
-            let seqs: [(u32, u64, [u32; 4], [u32; 4]); 10] = [
-                (0, 0, [1, 0, 0, 0], [9, 8, 8, 8]),
-                (1, 0, [2, 1, 0, 0], [8, 9, 8, 8]),
-                (2, 0, [2, 1, 1, 0], [8, 8, 9, 8]),
-                (3, 0, [2, 1, 1, 1], [3, 3, 3, 4]),
-                (3, 1, [4, 4, 4, 5], [6, 6, 6, 7]),
-                (0, 1, [10, 9, 9, 9], [12, 11, 11, 11]),
-                (1, 1, [11, 10, 10, 10], [11, 12, 11, 11]),
-                (2, 1, [11, 10, 11, 10], [11, 11, 12, 11]),
-                (3, 2, [11, 10, 11, 11], [11, 11, 11, 12]),
-                (1, 2, [13, 13, 13, 13], [14, 14, 14, 14]),
-            ];
-            for (p, seq, lo, hi) in seqs {
-                sols.extend(bank.enqueue(SlotId(p), iv(p, seq, &lo, &hi)));
-            }
-            sols.extend(bank.remove_queue(SlotId(3)));
-            sols
-        };
-        let ((full, sols_full), (incr, sols_incr)) = run_both(4, feed);
-
-        // Identical outcomes, bit for bit.
-        assert_eq!(sols_full.len(), sols_incr.len());
-        for (a, b) in sols_full.iter().zip(&sols_incr) {
-            assert_eq!(a.index, b.index);
-            assert_eq!(a.intervals, b.intervals);
+    /// A 4-queue workload with multi-queue sweep rounds, cascades and a
+    /// queue removal: drives it through `bank` and returns every solution.
+    fn four_queue_feed(bank: &mut QueueBank) -> Vec<Solution> {
+        let mut sols = Vec::new();
+        let seqs: [(u32, u64, [u32; 4], [u32; 4]); 10] = [
+            (0, 0, [1, 0, 0, 0], [9, 8, 8, 8]),
+            (1, 0, [2, 1, 0, 0], [8, 9, 8, 8]),
+            (2, 0, [2, 1, 1, 0], [8, 8, 9, 8]),
+            (3, 0, [2, 1, 1, 1], [3, 3, 3, 4]),
+            (3, 1, [4, 4, 4, 5], [6, 6, 6, 7]),
+            (0, 1, [10, 9, 9, 9], [12, 11, 11, 11]),
+            (1, 1, [11, 10, 10, 10], [11, 12, 11, 11]),
+            (2, 1, [11, 10, 11, 10], [11, 11, 12, 11]),
+            (3, 2, [11, 10, 11, 11], [11, 11, 11, 12]),
+            (1, 2, [13, 13, 13, 13], [14, 14, 14, 14]),
+        ];
+        for (p, seq, lo, hi) in seqs {
+            sols.extend(bank.enqueue(SlotId(p), iv(p, seq, &lo, &hi)));
         }
-        let fs = full.stats();
-        let is = incr.stats();
-        assert_eq!(
-            (fs.swept, fs.pruned, fs.solutions),
-            (is.swept, is.pruned, is.solutions)
-        );
-
-        // Strictly fewer comparison units, with real cache traffic.
-        assert!(is.cache_hits > 0, "workload must exercise the cache");
-        assert!(
-            incr.ops().get() < full.ops().get(),
-            "incremental ({}) must beat full ({})",
-            incr.ops().get(),
-            full.ops().get()
-        );
-        assert_eq!(fs.cache_hits, 0, "full mode never touches the cache");
+        sols.extend(bank.remove_queue(SlotId(3)));
+        sols
     }
 
     #[test]
     fn aggregate_sweep_matches_full_bit_for_bit() {
-        // Same workload as the incremental differential test (multi-queue
-        // sweep rounds, cascades, a queue removal): the summary-gated
-        // sweep must reproduce every solution, sweep, and prune decision.
-        let feed = |bank: &mut QueueBank| {
-            let mut sols = Vec::new();
-            let seqs: [(u32, u64, [u32; 4], [u32; 4]); 10] = [
-                (0, 0, [1, 0, 0, 0], [9, 8, 8, 8]),
-                (1, 0, [2, 1, 0, 0], [8, 9, 8, 8]),
-                (2, 0, [2, 1, 1, 0], [8, 8, 9, 8]),
-                (3, 0, [2, 1, 1, 1], [3, 3, 3, 4]),
-                (3, 1, [4, 4, 4, 5], [6, 6, 6, 7]),
-                (0, 1, [10, 9, 9, 9], [12, 11, 11, 11]),
-                (1, 1, [11, 10, 10, 10], [11, 12, 11, 11]),
-                (2, 1, [11, 10, 11, 10], [11, 11, 12, 11]),
-                (3, 2, [11, 10, 11, 11], [11, 11, 11, 12]),
-                (1, 2, [13, 13, 13, 13], [14, 14, 14, 14]),
-            ];
-            for (p, seq, lo, hi) in seqs {
-                sols.extend(bank.enqueue(SlotId(p), iv(p, seq, &lo, &hi)));
-            }
-            sols.extend(bank.remove_queue(SlotId(3)));
-            sols
-        };
+        // The summary-gated sweep must reproduce every solution, sweep,
+        // and prune decision of the Full oracle.
         let mut full = QueueBank::new(4).with_sweep_mode(SweepMode::Full);
         let mut agg = QueueBank::new(4).with_sweep_mode(SweepMode::Aggregate);
-        let sols_full = feed(&mut full);
-        let sols_agg = feed(&mut agg);
+        let sols_full = four_queue_feed(&mut full);
+        let sols_agg = four_queue_feed(&mut agg);
 
         assert_eq!(sols_full.len(), sols_agg.len());
         for (a, b) in sols_full.iter().zip(&sols_agg) {
@@ -1316,32 +1142,12 @@ mod tests {
         // parallel mode must take the sequential code path — outcomes AND
         // billed totals equal to Aggregate by construction, asserted here
         // against the same workload as the Full/Aggregate differential.
-        let feed = |bank: &mut QueueBank| {
-            let mut sols = Vec::new();
-            let seqs: [(u32, u64, [u32; 4], [u32; 4]); 10] = [
-                (0, 0, [1, 0, 0, 0], [9, 8, 8, 8]),
-                (1, 0, [2, 1, 0, 0], [8, 9, 8, 8]),
-                (2, 0, [2, 1, 1, 0], [8, 8, 9, 8]),
-                (3, 0, [2, 1, 1, 1], [3, 3, 3, 4]),
-                (3, 1, [4, 4, 4, 5], [6, 6, 6, 7]),
-                (0, 1, [10, 9, 9, 9], [12, 11, 11, 11]),
-                (1, 1, [11, 10, 10, 10], [11, 12, 11, 11]),
-                (2, 1, [11, 10, 11, 10], [11, 11, 12, 11]),
-                (3, 2, [11, 10, 11, 11], [11, 11, 11, 12]),
-                (1, 2, [13, 13, 13, 13], [14, 14, 14, 14]),
-            ];
-            for (p, seq, lo, hi) in seqs {
-                sols.extend(bank.enqueue(SlotId(p), iv(p, seq, &lo, &hi)));
-            }
-            sols.extend(bank.remove_queue(SlotId(3)));
-            sols
-        };
         let mut agg = QueueBank::new(4).with_sweep_mode(SweepMode::Aggregate);
-        let sols_agg = feed(&mut agg);
+        let sols_agg = four_queue_feed(&mut agg);
         for threads in [1usize, 2, 4] {
             let mut par =
                 QueueBank::new(4).with_sweep_mode(SweepMode::AggregateParallel { threads });
-            let sols_par = feed(&mut par);
+            let sols_par = four_queue_feed(&mut par);
             assert_eq!(sols_agg.len(), sols_par.len());
             for (a, b) in sols_agg.iter().zip(&sols_par) {
                 assert_eq!(a.index, b.index);
@@ -1431,48 +1237,6 @@ mod tests {
         let sols = bank.enqueue(SlotId(1), iv(1, 1, &[4, 4, 0], &[8, 7, 7]));
         assert_eq!(sols.len(), 1, "solution across local + real + ephemeral");
         assert_eq!(bank.queue_count(), 2, "ephemeral queue vanished");
-    }
-
-    #[test]
-    fn queue_removal_rerun_is_answered_from_cache() {
-        // After a failure, remove_queue re-marks every non-empty queue as
-        // updated; the surviving heads were already compared against each
-        // other, so the re-run should be pure cache hits.
-        let mut bank = QueueBank::new(3).with_sweep_mode(SweepMode::Incremental);
-        bank.enqueue(SlotId(0), iv(0, 0, &[1, 0, 0], &[4, 3, 0]));
-        bank.enqueue(SlotId(1), iv(1, 0, &[2, 1, 0], &[3, 4, 0]));
-        let hits_before = bank.stats().cache_hits;
-        let misses_before = bank.stats().cache_misses;
-        let sols = bank.remove_queue(SlotId(2));
-        assert_eq!(sols.len(), 1, "removal unblocks the solution");
-        assert!(bank.stats().cache_hits > hits_before);
-        assert_eq!(
-            bank.stats().cache_misses,
-            misses_before,
-            "surviving pair verdict must come from the cache, not recomparison"
-        );
-    }
-
-    #[test]
-    fn slot_reuse_invalidates_cached_verdicts() {
-        // Queue 2 stays empty throughout so no solutions fire and the
-        // cached pair (0,1) verdict is the only state in play.
-        let mut bank = QueueBank::new(3).with_sweep_mode(SweepMode::Incremental);
-        bank.enqueue(SlotId(0), iv(0, 0, &[1, 0, 0], &[9, 8, 0]));
-        bank.enqueue(SlotId(1), iv(1, 0, &[2, 1, 0], &[8, 9, 0]));
-        let misses_after_warmup = bank.stats().cache_misses;
-        assert!(misses_after_warmup > 0, "pair (0,1) verdict cached");
-        // Remove slot 1 and reuse it for a different child.
-        bank.remove_queue(SlotId(1));
-        let s = bank.add_queue();
-        assert_eq!(s, SlotId(1));
-        // The reused slot's new head must be freshly compared, not served
-        // the stale (0, old-1) verdict.
-        bank.enqueue(s, iv(7, 0, &[3, 2, 0], &[7, 7, 0]));
-        assert!(
-            bank.stats().cache_misses > misses_after_warmup,
-            "reused slot's new head must recompute the pair verdict"
-        );
     }
 
     #[test]
