@@ -1,17 +1,14 @@
 //! Hot-path micro-benchmarks of the zero-copy data plane: pooled clock
 //! merge/compare (including the shared-storage fast paths), pairwise
-//! interval overlap, `⊓`-aggregation, and wire-codec roundtrips (dense
-//! vs delta).
+//! interval overlap, `⊓`-aggregation, and delta wire-codec encode and
+//! roundtrip.
 //!
 //! The end-to-end before/after numbers (overlap comparisons, clock
 //! clones, bytes per interval) come from `ftscp_sim --bench-json`; these
 //! benches pin down the per-operation constants behind them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ftscp_intervals::codec::{
-    decode_interval_auto, encode_interval, encode_interval_delta, interval_from_bytes,
-    interval_to_bytes,
-};
+use ftscp_intervals::codec::{decode_interval_delta, encode_interval_delta};
 use ftscp_intervals::{aggregate, overlap, Interval};
 use ftscp_vclock::{ProcessId, VectorClock};
 use rand::rngs::StdRng;
@@ -109,19 +106,6 @@ fn bench_codec(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(14);
         let iv = random_interval(&mut rng, n, 3, 9);
         let prev = random_interval(&mut rng, n, 3, 8);
-        group.bench_with_input(BenchmarkId::new("dense_roundtrip", n), &iv, |b, iv| {
-            b.iter(|| {
-                let bytes = interval_to_bytes(black_box(iv));
-                black_box(interval_from_bytes(&bytes).expect("roundtrip"))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("dense_encode", n), &iv, |b, iv| {
-            b.iter(|| {
-                let mut buf = bytes::BytesMut::new();
-                encode_interval(black_box(iv), &mut buf);
-                black_box(buf)
-            })
-        });
         group.bench_with_input(
             BenchmarkId::new("delta_roundtrip", n),
             &(&iv, &prev),
@@ -130,7 +114,7 @@ fn bench_codec(c: &mut Criterion) {
                     let mut buf = bytes::BytesMut::new();
                     encode_interval_delta(black_box(iv), Some(&prev.lo), &mut buf);
                     let mut frame = buf.freeze();
-                    black_box(decode_interval_auto(&mut frame, Some(&prev.lo)).expect("roundtrip"))
+                    black_box(decode_interval_delta(&mut frame, Some(&prev.lo)).expect("roundtrip"))
                 })
             },
         );

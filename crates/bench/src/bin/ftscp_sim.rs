@@ -17,11 +17,10 @@
 //! root: overlap comparisons full vs aggregate sweep (with runtime
 //! assertions that both produce bit-identical detections),
 //! logical vs deep clock clones, encoded bytes per interval dense vs
-//! delta, a `parallel_sweep` section timing `SweepMode::AggregateParallel`
-//! against sequential `Aggregate` on wide sink banks (n = 1024 and 4096)
-//! per thread count — with runtime assertions that every thread count
-//! reproduces the sequential decision trace, solution sequence, and
-//! billed comparison total exactly — plus a `repair` row measuring the
+//! delta, a `wide_sink` row running one n = 1024 centralized sink bank
+//! under `Full` and `Aggregate` — with runtime assertions that both
+//! produce the same decision trace, solution sequence, and swept/pruned
+//! counts, and that `Aggregate` bills less — plus a `repair` row measuring the
 //! decentralized crash-recovery protocol (re-report traffic and simulated
 //! time-to-first-solution after a mid-run internal-node crash on the
 //! `h = 3` workload), and a `reactor` row driving one real-TCP node
@@ -77,7 +76,7 @@ fn usage() -> ! {
         "usage: ftscp_sim [--nodes N] [--degree D] [--rounds P] [--skip F] \
          [--solo F] [--seed S] [--loss F] [--crash NODE@MSms]... \
          [--topology tree|grid|geometric|smallworld|scalefree] [--baseline] \
-         | --bench-json | --bench-check | --bench-parallel | --bench-tenancy"
+         | --bench-json | --bench-check | --bench-wide-sink | --bench-tenancy"
     );
     std::process::exit(2);
 }
@@ -194,9 +193,9 @@ fn bench_mode(h: u32, skip: f64, solo: f64, mode: ftscp_intervals::SweepMode) ->
     }
 }
 
-/// Wire sizes over one point's interval stream: legacy dense, delta with
-/// no base (retransmit/resync frames), and delta over per-source
-/// connection state (the live stream).
+/// Wire sizes over one point's interval stream: the retired dense layout
+/// (computed, no codec), delta with no base (retransmit/resync frames),
+/// and delta over per-source connection state (the live stream).
 fn bench_codec(h: u32, skip: f64, solo: f64) -> CodecRun {
     use ftscp_core::ConnCodec;
     use ftscp_intervals::codec::{encoded_interval_delta_len, encoded_interval_len};
@@ -441,41 +440,32 @@ fn bench_reactor() -> ReactorRun {
     run
 }
 
-/// One `AggregateParallel` run of the sink-bank suite, measured against
-/// the sequential `Aggregate` baseline of the same [`ParallelPoint`].
-struct ParallelRun {
-    threads_requested: usize,
-    threads_effective: usize,
-    elapsed_ms: f64,
-    speedup: f64,
-}
-
-/// One size point of the parallel-sweep suite: a single *wide* queue bank
-/// (one queue per process, fed directly — the centralized sink shape,
-/// where every sweep visit touches an `n`-queue × `n`-component region
-/// and the per-visit sharding has room to pay off; the hierarchical
-/// grid's per-node banks are only `d = 4` queues wide and never cross the
-/// parallel threshold). The outcome columns are shared by every run of
-/// the point — the runtime asserts make them bit-identical.
-struct ParallelPoint {
+/// The `wide_sink` row: a single *wide* queue bank (one queue per
+/// process, fed directly — the centralized sink shape, where every sweep
+/// visit folds an `n`-queue × `n`-component region; the hierarchical
+/// grid's per-node banks are only `d = 4` queues wide). Both sweep modes
+/// run the same stream; the outcome columns are shared because the
+/// runtime asserts make them identical.
+struct WideSink {
     n: usize,
     rounds: usize,
-    /// `available_parallelism` of the measuring machine — committed with
-    /// the rows so a 1-core artifact reads as what it is.
+    /// `available_parallelism` of the measuring machine, committed with
+    /// the wall-clock columns so they read as what they are.
     cores: usize,
     intervals: usize,
     solutions: u64,
     swept: u64,
     pruned: u64,
-    billed_ops: u64,
-    seq_elapsed_ms: f64,
-    runs: Vec<ParallelRun>,
+    billed_full: u64,
+    billed_aggregate: u64,
+    full_elapsed_ms: f64,
+    aggregate_elapsed_ms: f64,
 }
 
 /// Everything observable about one sink-bank sweep: the full decision
-/// trace (enqueue/sweep/prune/emission order), solution sequence, stats,
-/// and billed comparison total that must be bit-identical across thread
-/// counts, plus the wall-clock that must not be.
+/// trace (enqueue/sweep/prune/emission order), solution sequence, and
+/// stats that must be identical across sweep modes, plus the billed
+/// comparison total and wall-clock that differ.
 struct SinkRun {
     elapsed_ms: f64,
     ops: u64,
@@ -510,15 +500,16 @@ fn run_sink(
     }
 }
 
-/// Measures one parallel-sweep size point: sequential `Aggregate` first,
-/// then `AggregateParallel` at each requested thread count (0 = auto),
-/// asserting after every run that the parallel sweep reproduced the
-/// sequential decision trace, solution sequence, deletion/prune counters,
-/// and billed comparison total *exactly* — the tentpole's bit-identity
-/// contract, enforced on real workloads every time the bench runs.
-fn bench_parallel_point(n: usize, rounds: usize) -> ParallelPoint {
+/// Measures the `wide_sink` row: the n = 1024 sink (dense workload,
+/// seed 7, two rounds) under `Full` and then `Aggregate`, asserting that
+/// the gated sweep reproduced the oracle's decision trace, solution
+/// sequence, and sweep/prune/solution counts exactly and billed less.
+/// The runs are sequential, each owning the machine.
+fn bench_wide_sink() -> WideSink {
     use ftscp_intervals::SweepMode;
 
+    let (n, rounds) = (1024usize, 2usize);
+    eprintln!("wide sink: n = {n}, rounds = {rounds} ...");
     let exec = RandomExecution::builder(n)
         .intervals_per_process(rounds)
         .seed(7)
@@ -526,103 +517,61 @@ fn bench_parallel_point(n: usize, rounds: usize) -> ParallelPoint {
     let intervals: Vec<ftscp_intervals::Interval> =
         exec.intervals_interleaved().into_iter().cloned().collect();
 
-    let seq = run_sink(&intervals, n, SweepMode::Aggregate);
-    let mut runs = Vec::new();
-    for threads in [1usize, 2, 4, 0] {
-        let effective = ftscp_intervals::par::effective_threads(threads);
-        let par = run_sink(&intervals, n, SweepMode::AggregateParallel { threads });
-        assert_eq!(
-            par.solutions, seq.solutions,
-            "parallel sweep solution sequence diverged at n = {n}, {threads} threads"
-        );
-        assert_eq!(
-            par.stats, seq.stats,
-            "parallel sweep bank stats diverged at n = {n}, {threads} threads"
-        );
-        assert_eq!(
-            par.ops, seq.ops,
-            "parallel sweep billed total diverged at n = {n}, {threads} threads"
-        );
-        assert_eq!(
-            par.trace, seq.trace,
-            "parallel sweep decision trace (deletion order) diverged at n = {n}, {threads} threads"
-        );
-        runs.push(ParallelRun {
-            threads_requested: threads,
-            threads_effective: effective,
-            elapsed_ms: par.elapsed_ms,
-            speedup: seq.elapsed_ms / par.elapsed_ms.max(1e-9),
-        });
-    }
-
-    // The speedup bar: ≥2× over sequential aggregate on the dense
-    // n = 4096 sink at ≥4 threads. Wall-clock is machine-dependent (the
-    // materialization pass is memory-bandwidth-bound, and shared CI
-    // runners neither guarantee 4 physical cores nor stable bandwidth),
-    // so the bar is only *enforced* when the operator vouches for the
-    // hardware via `FTSCP_BENCH_ASSERT_SPEEDUP=1`; everywhere else a
-    // miss on a ≥4-core machine is reported loudly but stays ungated —
-    // the same policy `--bench-check` applies to every elapsed_ms field.
-    // The bit-identity assertions above run unconditionally.
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    if n >= 4096 {
-        let four = runs
-            .iter()
-            .find(|r| r.threads_requested == 4)
-            .expect("4-thread row is in the grid");
-        if cores < 4 {
-            eprintln!(
-                "note: {cores}-core machine — the ≥2× speedup bar needs 4 cores \
-                 (measured {:.2}x at 4 oversubscribed threads)",
-                four.speedup
-            );
-        } else if std::env::var("FTSCP_BENCH_ASSERT_SPEEDUP").is_ok() {
-            assert!(
-                four.speedup >= 2.0,
-                "parallel sweep under 2x at n = {n} with 4 threads on {cores} cores ({:.2}x)",
-                four.speedup
-            );
-        } else if four.speedup < 2.0 {
-            eprintln!(
-                "WARNING: parallel sweep under the 2x bar at n = {n} with 4 threads \
-                 on {cores} cores ({:.2}x) — set FTSCP_BENCH_ASSERT_SPEEDUP=1 to enforce",
-                four.speedup
-            );
-        } else {
-            eprintln!(
-                "parallel sweep speedup bar met: {:.2}x at 4 threads on {cores} cores",
-                four.speedup
-            );
-        }
-    }
-
-    ParallelPoint {
+    let full = run_sink(&intervals, n, SweepMode::Full);
+    let agg = run_sink(&intervals, n, SweepMode::Aggregate);
+    assert_eq!(
+        agg.solutions, full.solutions,
+        "wide sink: solution sequence diverged across sweep modes"
+    );
+    let counts = |s: &ftscp_intervals::BankStats| (s.solutions, s.swept, s.pruned);
+    assert_eq!(
+        counts(&agg.stats),
+        counts(&full.stats),
+        "wide sink: solution/swept/pruned counts diverged across sweep modes"
+    );
+    assert_eq!(
+        agg.trace, full.trace,
+        "wide sink: decision trace (deletion order) diverged across sweep modes"
+    );
+    assert!(
+        agg.ops < full.ops,
+        "wide sink: aggregate billed {} ops, full {}",
+        agg.ops,
+        full.ops
+    );
+    WideSink {
         n,
         rounds,
-        cores,
+        cores: std::thread::available_parallelism().map_or(1, |c| c.get()),
         intervals: intervals.len(),
-        solutions: seq.stats.solutions,
-        swept: seq.stats.swept,
-        pruned: seq.stats.pruned,
-        billed_ops: seq.ops,
-        seq_elapsed_ms: seq.elapsed_ms,
-        runs,
+        solutions: agg.stats.solutions,
+        swept: agg.stats.swept,
+        pruned: agg.stats.pruned,
+        billed_full: full.ops,
+        billed_aggregate: agg.ops,
+        full_elapsed_ms: full.elapsed_ms,
+        aggregate_elapsed_ms: agg.elapsed_ms,
     }
 }
 
-/// The parallel-sweep suite: wide sink banks at n = 1024, 4096, and
-/// 16384 (dense workload, seed 7), sequential baseline +
-/// per-thread-count rows. Runs are strictly sequential — each owns the
-/// whole machine, so the wall-clock rows measure the sharding, not
-/// scheduler contention.
-fn bench_parallel_sweep() -> Vec<ParallelPoint> {
-    [(1024usize, 2usize), (4096, 1), (16384, 1)]
-        .into_iter()
-        .map(|(n, rounds)| {
-            eprintln!("parallel sweep: sink bank n = {n}, rounds = {rounds} ...");
-            bench_parallel_point(n, rounds)
-        })
-        .collect()
+fn render_wide_sink_json(w: &WideSink) -> String {
+    format!(
+        "  \"wide_sink\": {{\"n\": {}, \"rounds\": {}, \"cores\": {}, \"intervals\": {}, \
+         \"solutions\": {}, \"swept\": {}, \"pruned\": {},\n   \
+         \"sink_billed_ops\": {{\"full\": {}, \"aggregate\": {}}},\n   \
+         \"sink_elapsed_ms\": {{\"full\": {:.3}, \"aggregate\": {:.3}}}}},\n",
+        w.n,
+        w.rounds,
+        w.cores,
+        w.intervals,
+        w.solutions,
+        w.swept,
+        w.pruned,
+        w.billed_full,
+        w.billed_aggregate,
+        w.full_elapsed_ms,
+        w.aggregate_elapsed_ms
+    )
 }
 
 /// One tenant-count point of the tenancy suite: the registry's
@@ -942,7 +891,7 @@ fn render_tenancy_json(tenancy: &[TenancyPoint]) -> String {
 
 fn render_bench_json(
     points: &[BenchPoint],
-    parallel: &[ParallelPoint],
+    wide_sink: &WideSink,
     tenancy: &[TenancyPoint],
     net: &NetRun,
     repair: &RepairRun,
@@ -994,43 +943,7 @@ fn render_bench_json(
         ));
     }
     out.push_str("  ],\n");
-    // Wall-clock rows of the parallel sweep: deliberately *not* gated by
-    // `--bench-check` (machine-dependent); the bit-identity and billed-
-    // total contracts are asserted at generation time instead.
-    out.push_str("  \"parallel_sweep\": [\n");
-    for (i, p) in parallel.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"n\": {}, \"rounds\": {}, \"cores\": {}, \"intervals\": {}, \
-             \"solutions\": {}, \"swept\": {}, \"pruned\": {}, \"billed_ops\": {}, \
-             \"seq_elapsed_ms\": {:.3},\n",
-            p.n,
-            p.rounds,
-            p.cores,
-            p.intervals,
-            p.solutions,
-            p.swept,
-            p.pruned,
-            p.billed_ops,
-            p.seq_elapsed_ms
-        ));
-        out.push_str("     \"threads\": [\n");
-        for (j, r) in p.runs.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"requested\": {}, \"effective\": {}, \"elapsed_ms\": {:.3}, \
-                 \"speedup\": {:.2}}}{}\n",
-                r.threads_requested,
-                r.threads_effective,
-                r.elapsed_ms,
-                r.speedup,
-                if j + 1 < p.runs.len() { "," } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "     ]}}{}\n",
-            if i + 1 < parallel.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
+    out.push_str(&render_wide_sink_json(wide_sink));
     out.push_str(&render_tenancy_json(tenancy));
     out.push_str(&format!(
         "  \"repair\": {{\"n\": {}, \"crashed_node\": {}, \"crash_at_ms\": {}, \
@@ -1087,7 +1000,7 @@ const BENCH_JSON_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_
 
 fn run_bench_json() {
     let points = bench_points();
-    let parallel = bench_parallel_sweep();
+    let wide_sink = bench_wide_sink();
     let tenancy = bench_tenancy();
     let net = bench_net_loopback();
     let repair = bench_repair();
@@ -1098,7 +1011,7 @@ fn run_bench_json() {
     if !reactor.available {
         eprintln!("note: reactor scale run unavailable — reactor row records zeros");
     }
-    let out = render_bench_json(&points, &parallel, &tenancy, &net, &repair, &reactor);
+    let out = render_bench_json(&points, &wide_sink, &tenancy, &net, &repair, &reactor);
     std::fs::write(BENCH_JSON_PATH, &out).expect("write BENCH_hotpath.json");
     print!("{out}");
     eprintln!("written to {BENCH_JSON_PATH}");
@@ -1149,9 +1062,10 @@ fn extract_all(json: &str, section: &str, key: &str) -> Vec<f64> {
 /// against the committed `BENCH_hotpath.json`. Wall-clock times are
 /// machine-dependent and deliberately not gated.
 fn run_bench_check() {
-    const GATED_KEYS: [(&str, &str); 13] = [
+    const GATED_KEYS: [(&str, &str); 14] = [
         ("overlap_comparisons", "full_sweep"),
         ("overlap_comparisons", "aggregate"),
+        ("sink_billed_ops", "aggregate"),
         ("bytes_per_interval", "dense"),
         ("bytes_per_interval", "delta_standalone"),
         ("bytes_per_interval", "delta_stateful"),
@@ -1176,14 +1090,11 @@ fn run_bench_check() {
     let net = bench_net_loopback();
     let repair = bench_repair();
     let reactor = bench_reactor();
-    // The parallel-sweep section holds only machine-dependent wall-clock
-    // rows (its correctness contract is asserted when the suite runs), so
-    // the check pass skips regenerating it rather than burn minutes on
-    // ungated numbers. The tenancy suite is cheap and fully gated, so it
-    // *is* regenerated (and its runtime assertions re-run) here.
+    // The wide sink and the tenancy suite are regenerated too, re-running
+    // their runtime assertions; their billed totals are gated.
     let current = render_bench_json(
         &bench_points(),
-        &[],
+        &bench_wide_sink(),
         &bench_tenancy(),
         &net,
         &repair,
@@ -1346,23 +1257,10 @@ fn main() {
         print!("{}", render_tenancy_json(&bench_tenancy()));
         return;
     }
-    // Standalone parallel-sweep suite (same rows as the `--bench-json`
-    // `parallel_sweep` section) for re-measuring the speedup table
-    // without the full grid.
-    if std::env::args().any(|a| a == "--bench-parallel") {
-        for p in bench_parallel_sweep() {
-            eprintln!(
-                "n = {}: {} intervals, {} solutions, {} swept, {} pruned, \
-                 {} billed ops, sequential {:.1} ms",
-                p.n, p.intervals, p.solutions, p.swept, p.pruned, p.billed_ops, p.seq_elapsed_ms
-            );
-            for r in p.runs {
-                eprintln!(
-                    "  threads {} (effective {}): {:.1} ms, {:.2}x",
-                    r.threads_requested, r.threads_effective, r.elapsed_ms, r.speedup
-                );
-            }
-        }
+    // Standalone wide-sink row (the `--bench-json` `wide_sink` section)
+    // for re-timing the n = 1024 sink without the full grid.
+    if std::env::args().any(|a| a == "--bench-wide-sink") {
+        print!("{}", render_wide_sink_json(&bench_wide_sink()));
         return;
     }
     let args = parse_args();

@@ -52,14 +52,11 @@ pub struct MonitorConfig {
     /// involvement. `None` (the default) leaves repair to the
     /// deployment's maintenance service (the clairvoyant oracle).
     pub suspect_timeout: Option<SimTime>,
-    /// Sweep evaluation strategy installed into every node engine. The
-    /// default is the `⊓`-gated [`SweepMode::Aggregate`] unless the
-    /// `FTSCP_SWEEP_THREADS` env var is set, in which case the whole
-    /// deployment runs `AggregateParallel { threads: 0 }` (resolving the
-    /// worker count from that same variable) — the CI lever that forces
-    /// the tier-1 suite through the parallel sweep at a chosen thread
-    /// count. Detection outcomes are mode-invariant, so flipping this
-    /// can never change what a test observes, only how it is computed.
+    /// Sweep evaluation strategy installed into every node engine: the
+    /// `⊓`-gated [`SweepMode::Aggregate`] by default, or the
+    /// [`SweepMode::Full`] oracle. Detection outcomes are mode-invariant,
+    /// so this can never change what a test observes, only how it is
+    /// computed.
     pub sweep_mode: SweepMode,
 }
 
@@ -71,11 +68,7 @@ impl Default for MonitorConfig {
             retransmit_burst: 8,
             retransmit_backoff_cap: 8,
             suspect_timeout: None,
-            sweep_mode: if std::env::var(ftscp_intervals::par::SWEEP_THREADS_ENV).is_ok() {
-                SweepMode::AggregateParallel { threads: 0 }
-            } else {
-                SweepMode::default()
-            },
+            sweep_mode: SweepMode::default(),
         }
     }
 }

@@ -3,7 +3,7 @@
 
 use bytes::{Bytes, BytesMut};
 use ftscp_intervals::codec::{
-    decode_interval_auto, decode_tenant_batch, encode_interval_delta, encode_tenant_batch,
+    decode_interval_delta, decode_tenant_batch, encode_interval_delta, encode_tenant_batch,
     encoded_interval_delta_len, encoded_tenant_batch_len, DecodeError, TenantGroup,
 };
 use ftscp_intervals::Interval;
@@ -253,10 +253,10 @@ impl ConnCodec {
         self.note_sent(iv);
     }
 
-    /// Decodes the next frame of the stream (either form, including the
-    /// legacy dense format) and advances the base to its `lo`.
+    /// Decodes the next frame of the stream (standalone or stateful) and
+    /// advances the base to its `lo`.
     pub fn decode(&mut self, buf: &mut Bytes) -> Result<Interval, DecodeError> {
-        let iv = decode_interval_auto(buf, self.base.as_ref())?;
+        let iv = decode_interval_delta(buf, self.base.as_ref())?;
         self.note_sent(&iv);
         Ok(iv)
     }
@@ -478,11 +478,15 @@ mod tests {
     }
 
     #[test]
-    fn codec_decodes_legacy_dense_frames() {
-        let a = iv(0, vec![3, 1], vec![4, 1]);
-        let bytes = ftscp_intervals::codec::interval_to_bytes(&a);
+    fn codec_rejects_retired_dense_frames() {
+        // A dense-layout frame leads with a small little-endian source id,
+        // so its version byte is 0x00.
+        let mut frame = Bytes::from(vec![0u8, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0]);
         let mut rx = ConnCodec::new();
-        assert_eq!(rx.decode(&mut bytes.clone()).expect("dense decode"), a);
+        assert_eq!(
+            rx.decode(&mut frame),
+            Err(DecodeError("not a delta interval frame"))
+        );
     }
 
     #[test]

@@ -21,7 +21,6 @@
 //! child without disturbing the others.
 
 use crate::interval::Interval;
-use crate::par;
 use crate::prune;
 use crate::solution::Solution;
 use crate::summary;
@@ -77,6 +76,8 @@ pub struct BankStats {
 }
 
 /// How the pairwise sweep (lines (1)–(17)) evaluates head-overlap checks.
+/// [`Aggregate`](Self::Aggregate) is the one production engine;
+/// [`Full`](Self::Full) is its differential oracle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SweepMode {
     /// Recompute both directed comparisons on every visit — the original
@@ -95,36 +96,6 @@ pub enum SweepMode {
     /// change.
     #[default]
     Aggregate,
-    /// [`Aggregate`](SweepMode::Aggregate) with the large per-visit
-    /// regions — the gate's `⊓` fold, the pairwise fallback row, and
-    /// the Eq. (10) prune pre-gate — sharded across scoped worker threads
-    /// (see the `par` module). `threads: 0` resolves via
-    /// [`effective_threads`](crate::par::effective_threads) (the
-    /// `FTSCP_SWEEP_THREADS` env var, else `available_parallelism`); a
-    /// resolved count of 1, or a region smaller than the spawn-amortizing
-    /// threshold, runs the sequential `Aggregate` code unchanged.
-    ///
-    /// The contract is bit-identical observable state: the same deletion
-    /// order, same emissions, same prune decisions, and the same
-    /// [`OpCounter`] totals as `Aggregate` — parallelism only changes
-    /// wall-clock. Each call site carries its determinism argument; the
-    /// bench harness and property tests assert the equality at runtime.
-    AggregateParallel {
-        /// Worker-thread budget per parallel region; 0 = auto.
-        threads: usize,
-    },
-}
-
-impl SweepMode {
-    /// True for the summary-gated sweeps ([`Aggregate`](Self::Aggregate)
-    /// and [`AggregateParallel`](Self::AggregateParallel)), which share
-    /// the `⊓`-gate, chunked comparators, and aggregate prune.
-    pub fn is_aggregate(self) -> bool {
-        matches!(
-            self,
-            SweepMode::Aggregate | SweepMode::AggregateParallel { .. }
-        )
-    }
 }
 
 /// Serializable image of one queue (see [`QueueBank::snapshot`]).
@@ -589,8 +560,8 @@ impl QueueBank {
     /// One cell of the pairwise row (lines (11)–(14)) for the visited head `x`
     /// of queue `a`: `(min(x) < max(y), min(y) < max(x), id(y))` for the head
     /// `y` of queue `b`, or `None` if `b` is `a` or has no head.
-    /// [`SweepMode::Full`] compares component by component; the aggregate
-    /// modes use the word-chunked comparator.
+    /// [`SweepMode::Full`] compares component by component;
+    /// [`SweepMode::Aggregate`] uses the word-chunked comparator.
     fn row_cell(&self, a: usize, x: &Interval, b: usize) -> Option<(bool, bool, TraceId)> {
         if b == a {
             return None;
@@ -611,15 +582,6 @@ impl QueueBank {
         Some((x_lt, y_lt, trace_id(y)))
     }
 
-    /// Resolved worker budget for parallel sweep regions: 1 unless the
-    /// mode is [`SweepMode::AggregateParallel`].
-    fn sweep_threads(&self) -> usize {
-        match self.mode {
-            SweepMode::AggregateParallel { threads } => par::effective_threads(threads),
-            _ => 1,
-        }
-    }
-
     /// The main loop: pairwise sweep to fixpoint, then solution emission and
     /// Eq. (10) pruning, repeated while progress is possible.
     fn run_detection(&mut self, mut updated: BTreeSet<usize>) -> Vec<Solution> {
@@ -635,18 +597,7 @@ impl QueueBank {
                         continue;
                     };
                     let x_id = trace_id(x);
-                    // Per-visit region size (other heads × clock width):
-                    // with a worker budget > 1, regions past PAR_MIN_REGION
-                    // shard across scoped threads; everything else runs the
-                    // sequential Aggregate code verbatim.
-                    let threads = self.sweep_threads();
-                    let region = self.active.saturating_sub(1) * x.lo.components().len();
-                    let region_threads = if threads > 1 && region >= par::PAR_MIN_REGION {
-                        threads
-                    } else {
-                        1
-                    };
-                    if self.mode.is_aggregate() {
+                    if self.mode == SweepMode::Aggregate {
                         // One O(n) test against the ⊓-summary replaces the
                         // O(k·n) pairwise row whenever it certifies that
                         // this visit deletes nothing (the overwhelmingly
@@ -659,7 +610,6 @@ impl QueueBank {
                                 x.hi.components(),
                                 heads,
                                 &self.ops,
-                                region_threads,
                             )
                         });
                         if certified {
@@ -668,8 +618,10 @@ impl QueueBank {
                         }
                         self.stats.gate_misses += 1;
                     }
-                    let cell = |b| self.row_cell(a, x, b);
-                    let mut mark = |b: usize, (x_lt, y_lt, y_id): (bool, bool, TraceId)| {
+                    for b in 0..self.slots.len() {
+                        let Some((x_lt, y_lt, y_id)) = self.row_cell(a, x, b) else {
+                            continue;
+                        };
                         // Line (12): min(x) ≮ max(y) ⇒ y can never join a
                         // solution with x or any successor of x.
                         if !x_lt {
@@ -680,33 +632,6 @@ impl QueueBank {
                         if !y_lt {
                             new_updated.insert(a);
                             culprits.entry(a).or_insert(y_id);
-                        }
-                    };
-                    if region_threads > 1 {
-                        // Parallel row. The sequential row visits every b
-                        // without cross-b early exit and each cell reads
-                        // only the two heads, so cells computed on any
-                        // worker are the same values; marking them in
-                        // ascending b keeps the first-wins culprit rule,
-                        // and the shared counter receives the same per-cell
-                        // amounts in some order — identical totals.
-                        let rows = par::run_partitioned(
-                            self.slots.len(),
-                            region_threads * 4,
-                            region_threads,
-                            |r| {
-                                r.filter_map(|b| cell(b).map(|c| (b, c)))
-                                    .collect::<Vec<_>>()
-                            },
-                        );
-                        for (b, c) in rows.into_iter().flatten() {
-                            mark(b, c);
-                        }
-                    } else {
-                        for b in 0..self.slots.len() {
-                            if let Some(c) = cell(b) {
-                                mark(b, c);
-                            }
                         }
                     }
                 }
@@ -778,11 +703,6 @@ impl QueueBank {
             let refs: Vec<&Interval> = heads.iter().collect();
             let removable = match self.mode {
                 SweepMode::Aggregate => prune::approximate_removals_aggregate(&refs, &self.ops),
-                SweepMode::AggregateParallel { .. } => prune::approximate_removals_aggregate_par(
-                    &refs,
-                    &self.ops,
-                    self.sweep_threads(),
-                ),
                 SweepMode::Full => prune::approximate_removals(&refs, &self.ops),
             };
             debug_assert!(!removable.is_empty(), "Theorem 4: at least one removal");
@@ -1137,44 +1057,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_matches_aggregate_bit_for_bit_on_narrow_bank() {
-        // Narrow bank: every region sits below PAR_MIN_REGION, so the
-        // parallel mode must take the sequential code path — outcomes AND
-        // billed totals equal to Aggregate by construction, asserted here
-        // against the same workload as the Full/Aggregate differential.
-        let mut agg = QueueBank::new(4).with_sweep_mode(SweepMode::Aggregate);
-        let sols_agg = four_queue_feed(&mut agg);
-        for threads in [1usize, 2, 4] {
-            let mut par =
-                QueueBank::new(4).with_sweep_mode(SweepMode::AggregateParallel { threads });
-            let sols_par = four_queue_feed(&mut par);
-            assert_eq!(sols_agg.len(), sols_par.len());
-            for (a, b) in sols_agg.iter().zip(&sols_par) {
-                assert_eq!(a.index, b.index);
-                assert_eq!(a.intervals, b.intervals);
-            }
-            assert_eq!(
-                agg.stats(),
-                par.stats(),
-                "stats diverged at {threads} threads"
-            );
-            assert_eq!(
-                agg.ops().get(),
-                par.ops().get(),
-                "billed totals diverged at {threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_sweep_matches_aggregate_bit_for_bit_on_wide_bank() {
-        // Wide bank: k = 300 queues × width 300 puts every sweep region
-        // (the gate's ⊓ fold, fallback rows, and the solution prune)
-        // past PAR_MIN_REGION, so the scoped-thread paths genuinely run.
-        // Phase A fills all queues with mutually overlapping heads (gate
-        // hits all the way, one solution, a 300-member parallel prune);
-        // phase B interleaves an earlier window on odd queues so gate
-        // misses force parallel fallback rows and sweeps.
+    fn aggregate_sweep_matches_full_bit_for_bit_on_wide_bank() {
+        // Wide bank: k = 300 queues × width 300. Phase A fills all queues
+        // with mutually overlapping heads (gate hits all the way, one
+        // solution, a 300-member gated prune); phase B interleaves an
+        // earlier window on odd queues so gate misses force fallback rows
+        // and sweeps.
         let k = 300usize;
         let feed = |bank: &mut QueueBank| {
             let mut sols = Vec::new();
@@ -1195,29 +1083,41 @@ mod tests {
             }
             sols
         };
-        let mut agg = QueueBank::new(k).with_sweep_mode(SweepMode::Aggregate);
+        let mut full = QueueBank::new(k)
+            .with_sweep_mode(SweepMode::Full)
+            .with_trace();
+        let mut agg = QueueBank::new(k)
+            .with_sweep_mode(SweepMode::Aggregate)
+            .with_trace();
+        let sols_full = feed(&mut full);
         let sols_agg = feed(&mut agg);
         let gs = agg.stats();
         assert_eq!(gs.solutions, 1, "phase A emits the full-bank solution");
         assert_eq!(gs.pruned as usize, k, "concurrent maxes: all pruned");
         assert!(gs.gate_misses > 0, "phase B must force fallback rows");
         assert!(gs.swept > 0, "phase B must sweep the early window");
-        for threads in [2usize, 4] {
-            let mut par =
-                QueueBank::new(k).with_sweep_mode(SweepMode::AggregateParallel { threads });
-            let sols_par = feed(&mut par);
-            assert_eq!(sols_agg.len(), sols_par.len());
-            for (a, b) in sols_agg.iter().zip(&sols_par) {
-                assert_eq!(a.index, b.index);
-                assert_eq!(a.intervals, b.intervals);
-            }
-            assert_eq!(gs, par.stats(), "stats diverged at {threads} threads");
-            assert_eq!(
-                agg.ops().get(),
-                par.ops().get(),
-                "billed totals diverged at {threads} threads"
-            );
+        assert_eq!(sols_full.len(), sols_agg.len());
+        for (a, b) in sols_full.iter().zip(&sols_agg) {
+            assert_eq!(a.index, b.index);
+            assert_eq!(a.intervals, b.intervals);
         }
+        let fs = full.stats();
+        assert_eq!(
+            (fs.swept, fs.pruned, fs.solutions),
+            (gs.swept, gs.pruned, gs.solutions),
+            "sweep/prune decisions diverged"
+        );
+        assert_eq!(
+            full.take_trace(),
+            agg.take_trace(),
+            "decision trace diverged"
+        );
+        assert!(
+            agg.ops().get() < full.ops().get(),
+            "aggregate ({}) must beat full ({})",
+            agg.ops().get(),
+            full.ops().get()
+        );
     }
 
     #[test]

@@ -1,39 +1,25 @@
 //! Binary wire codec for intervals and timestamps.
 //!
 //! The simulator's byte accounting — and any real transport a library
-//! user brings — needs an actual serialized form, not an estimate. Two
-//! formats share one decoder, discriminated by the *top byte of the
-//! leading little-endian `u32`* (the version byte):
-//!
-//! * **Dense** (version byte `0x00`, the legacy format): little-endian,
-//!   length-prefixed, self-contained. Every capture written before the
-//!   delta codec existed starts with a length or process id below
-//!   [`MAX_PROCESSES`] `< 2^24`, so its top byte is always zero.
-//! * **Delta** (version bytes [`CLOCK_DELTA_TAG`]/[`INTERVAL_DELTA_TAG`]):
-//!   varint + zigzag component deltas. Clock components are encoded
-//!   against a *base* clock — either the all-zeros clock (standalone
-//!   frames, decodable in isolation) or a caller-supplied base such as the
-//!   previous interval's `lo` on the same connection (stateful frames, see
-//!   `core::protocol::ConnCodec`). An interval's `hi` is always encoded
-//!   against its own `lo`, which is nearly free because an interval's
-//!   bounds differ in only a few components.
+//! user brings — needs an actual serialized form, not an estimate. Every
+//! frame is identified by the *top byte of its leading little-endian
+//! `u32`* (the version byte): [`CLOCK_DELTA_TAG`], [`INTERVAL_DELTA_TAG`]
+//! or [`TENANT_BATCH_TAG`]. Components are varint + zigzag deltas. Clock
+//! components are encoded against a *base* clock — either the all-zeros
+//! clock (standalone frames, decodable in isolation) or a caller-supplied
+//! base such as the previous interval's `lo` on the same connection
+//! (stateful frames, see `core::protocol::ConnCodec`). An interval's `hi`
+//! is always encoded against its own `lo`, which is nearly free because an
+//! interval's bounds differ in only a few components.
 //!
 //! ```text
-//! Dense:
-//!   VectorClock := u32 len, len × u32 components
-//!   IntervalRef := u32 process, u64 seq
-//!   Interval    := u32 source, u64 seq, u8 kind, [u32 level if aggregated],
-//!                  VectorClock lo, VectorClock hi,
-//!                  u32 coverage_len, coverage_len × IntervalRef
-//!
-//! Delta:
-//!   DClock      := u32 (0xD1<<24 | len), u8 base_flag,
-//!                  len × varint(zigzag(c[i] − base[i]))
-//!   DInterval   := u32 (0xD2<<24 | source), varint seq,
-//!                  u8 kind, [varint level if aggregated],
-//!                  DClock lo (against caller base),
-//!                  len × varint(zigzag(hi[i] − lo[i])),
-//!                  varint coverage_len, coverage_len × (varint process, varint seq)
+//! DClock      := u32 (0xD1<<24 | len), u8 base_flag,
+//!                len × varint(zigzag(c[i] − base[i]))
+//! DInterval   := u32 (0xD2<<24 | source), varint seq,
+//!                u8 kind, [varint level if aggregated],
+//!                DClock lo (against caller base),
+//!                len × varint(zigzag(hi[i] − lo[i])),
+//!                varint coverage_len, coverage_len × (varint process, varint seq)
 //! ```
 //!
 //! `base_flag` is `0` for a standalone frame (base = zero clock) and `1`
@@ -41,8 +27,14 @@
 //! encoder used, or decoding fails instead of silently corrupting).
 //!
 //! All length prefixes are validated against [`MAX_PROCESSES`] /
-//! [`MAX_COVERAGE`] *before* any allocation, so a corrupt or hostile
-//! header cannot trigger a multi-GB `Vec::with_capacity`.
+//! [`MAX_COVERAGE`] and against the bytes left in the buffer *before* any
+//! allocation, so a corrupt or hostile header cannot trigger a large
+//! `Vec::with_capacity`.
+//!
+//! The original fixed-width *dense* layout (version byte `0x00`) is
+//! retired: nothing encodes or decodes it. Its size formula survives as
+//! [`encoded_interval_len`], the unit of the simulator's uncompressed
+//! byte accounting ([`Interval::wire_size`]).
 
 use crate::interval::{Interval, IntervalKind, IntervalRef};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -52,8 +44,8 @@ use std::fmt;
 /// Upper bound on the number of processes a decoded clock may cover.
 ///
 /// Anything larger is rejected as hostile input before allocation. The
-/// bound also guarantees every dense length/process header fits in 24
-/// bits, which is what frees the top byte for format versioning.
+/// bound also keeps every length/process header within 24 bits, which is
+/// what frees the top byte for format versioning.
 pub const MAX_PROCESSES: usize = 1 << 20;
 
 /// Upper bound on the number of coverage entries a decoded interval may
@@ -135,108 +127,14 @@ fn unzigzag(u: u64) -> i64 {
 }
 
 // ---------------------------------------------------------------------------
-// Dense format (legacy, version byte 0x00)
+// Uncompressed size model
 // ---------------------------------------------------------------------------
 
-/// Encodes a vector clock into `buf` in the dense format.
-pub fn encode_clock(clock: &VectorClock, buf: &mut BytesMut) {
-    debug_assert!(
-        clock.len() <= MAX_PROCESSES,
-        "clock wider than MAX_PROCESSES"
-    );
-    buf.put_u32_le(clock.len() as u32);
-    for &c in clock.components() {
-        buf.put_u32_le(c);
-    }
-}
-
-/// Decodes a dense vector clock from `buf`.
-pub fn decode_clock(buf: &mut Bytes) -> Result<VectorClock, DecodeError> {
-    if buf.remaining() < 4 {
-        return Err(DecodeError("clock length header truncated"));
-    }
-    let len = buf.get_u32_le() as usize;
-    if len > MAX_PROCESSES {
-        return Err(DecodeError("clock length exceeds MAX_PROCESSES"));
-    }
-    if buf.remaining() < 4 * len {
-        return Err(DecodeError("clock components truncated"));
-    }
-    let mut components = Vec::with_capacity(len);
-    for _ in 0..len {
-        components.push(buf.get_u32_le());
-    }
-    Ok(VectorClock::from_components(components))
-}
-
-/// Encodes an interval into `buf` in the dense format.
-pub fn encode_interval(iv: &Interval, buf: &mut BytesMut) {
-    buf.put_u32_le(iv.source.0);
-    buf.put_u64_le(iv.seq);
-    match iv.kind {
-        IntervalKind::Local => buf.put_u8(0),
-        IntervalKind::Aggregated { level } => {
-            buf.put_u8(1);
-            buf.put_u32_le(level);
-        }
-    }
-    encode_clock(&iv.lo, buf);
-    encode_clock(&iv.hi, buf);
-    buf.put_u32_le(iv.coverage.len() as u32);
-    for r in &iv.coverage {
-        buf.put_u32_le(r.process.0);
-        buf.put_u64_le(r.seq);
-    }
-}
-
-/// Decodes a dense interval from `buf`.
-pub fn decode_interval(buf: &mut Bytes) -> Result<Interval, DecodeError> {
-    if buf.remaining() < 13 {
-        return Err(DecodeError("interval header truncated"));
-    }
-    let source = ProcessId(buf.get_u32_le());
-    let seq = buf.get_u64_le();
-    let kind = match buf.get_u8() {
-        0 => IntervalKind::Local,
-        1 => {
-            if buf.remaining() < 4 {
-                return Err(DecodeError("aggregation level truncated"));
-            }
-            IntervalKind::Aggregated {
-                level: buf.get_u32_le(),
-            }
-        }
-        _ => return Err(DecodeError("unknown interval kind tag")),
-    };
-    let lo = decode_clock(buf)?;
-    let hi = decode_clock(buf)?;
-    if buf.remaining() < 4 {
-        return Err(DecodeError("coverage length truncated"));
-    }
-    let cov_len = buf.get_u32_le() as usize;
-    if cov_len > MAX_COVERAGE {
-        return Err(DecodeError("coverage length exceeds MAX_COVERAGE"));
-    }
-    if buf.remaining() < 12 * cov_len {
-        return Err(DecodeError("coverage entries truncated"));
-    }
-    let mut coverage = Vec::with_capacity(cov_len);
-    for _ in 0..cov_len {
-        let process = ProcessId(buf.get_u32_le());
-        let seq = buf.get_u64_le();
-        coverage.push(IntervalRef { process, seq });
-    }
-    Ok(Interval {
-        source,
-        seq,
-        lo,
-        hi,
-        kind,
-        coverage,
-    })
-}
-
-/// Exact encoded size of an interval in the dense codec.
+/// Size of an interval in the retired fixed-width dense layout: `u32`
+/// source, `u64` seq, `u8` kind [+ `u32` level], each bound as a `u32`
+/// length plus `u32` components, and a `u32`-counted list of 12-byte
+/// coverage entries. No frame uses it any more; it is the uncompressed
+/// size behind [`Interval::wire_size`] and the bench's dense byte column.
 pub fn encoded_interval_len(iv: &Interval) -> usize {
     let kind = match iv.kind {
         IntervalKind::Local => 1,
@@ -304,6 +202,11 @@ pub fn decode_clock_delta(
         if b.len() != len {
             return Err(DecodeError("delta base width mismatch"));
         }
+    }
+    // Every component is at least one varint byte: a header claiming more
+    // components than bytes remain is rejected before the allocation.
+    if buf.remaining() < len {
+        return Err(DecodeError("delta clock components truncated"));
     }
     let mut components = Vec::with_capacity(len);
     for i in 0..len {
@@ -546,43 +449,6 @@ pub fn encoded_tenant_batch_len(groups: &[TenantGroup], base: Option<&VectorCloc
 }
 
 // ---------------------------------------------------------------------------
-// Version-dispatching decoders
-// ---------------------------------------------------------------------------
-
-fn peek_version_byte(buf: &Bytes) -> Result<u8, DecodeError> {
-    let s = buf.as_slice();
-    if s.len() < 4 {
-        return Err(DecodeError("frame header truncated"));
-    }
-    Ok(s[3]) // most-significant byte of the leading little-endian u32
-}
-
-/// Decodes a clock in either format, dispatching on the version byte.
-pub fn decode_clock_auto(
-    buf: &mut Bytes,
-    base: Option<&VectorClock>,
-) -> Result<VectorClock, DecodeError> {
-    match peek_version_byte(buf)? {
-        0 => decode_clock(buf),
-        CLOCK_DELTA_TAG => decode_clock_delta(buf, base),
-        _ => Err(DecodeError("unknown clock format version")),
-    }
-}
-
-/// Decodes an interval in either format, dispatching on the version byte.
-/// Dense frames ignore `base`; stateful delta frames require it.
-pub fn decode_interval_auto(
-    buf: &mut Bytes,
-    base: Option<&VectorClock>,
-) -> Result<Interval, DecodeError> {
-    match peek_version_byte(buf)? {
-        0 => decode_interval(buf),
-        INTERVAL_DELTA_TAG => decode_interval_delta(buf, base),
-        _ => Err(DecodeError("unknown interval format version")),
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Frame classification (no decode)
 // ---------------------------------------------------------------------------
 
@@ -590,8 +456,6 @@ pub fn decode_interval_auto(
 /// without decoding it (see [`frame_kind`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FrameKind {
-    /// Legacy dense frame (version byte `0x00`) — always self-contained.
-    Dense,
     /// Delta frame with `base_flag = 0`: decodable by a cold decoder.
     DeltaStandalone,
     /// Delta frame with `base_flag = 1`: requires the connection base.
@@ -679,7 +543,6 @@ pub fn frame_kind(frame: &[u8]) -> Result<FrameKind, DecodeError> {
         return Err(DecodeError("frame header truncated"));
     }
     match frame[3] {
-        0 => Ok(FrameKind::Dense),
         INTERVAL_DELTA_TAG => classify_delta_interval(frame),
         TENANT_BATCH_TAG => {
             let count = u32::from_le_bytes([frame[0], frame[1], frame[2], 0]);
@@ -704,20 +567,6 @@ pub fn frame_kind(frame: &[u8]) -> Result<FrameKind, DecodeError> {
 // ---------------------------------------------------------------------------
 // Convenience wrappers
 // ---------------------------------------------------------------------------
-
-/// Convenience: encode an interval into a fresh buffer (dense format).
-pub fn interval_to_bytes(iv: &Interval) -> Bytes {
-    let mut buf = BytesMut::with_capacity(iv.wire_size());
-    encode_interval(iv, &mut buf);
-    buf.freeze()
-}
-
-/// Convenience: decode an interval from a standalone buffer (either
-/// format; stateful delta frames cannot appear standalone).
-pub fn interval_from_bytes(bytes: &Bytes) -> Result<Interval, DecodeError> {
-    let mut buf = bytes.clone();
-    decode_interval_auto(&mut buf, None)
-}
 
 /// Convenience: encode an interval into a fresh buffer as a standalone
 /// delta frame (zero base — decodable with no connection state).
@@ -752,99 +601,44 @@ mod tests {
     }
 
     #[test]
-    fn clock_round_trip() {
-        let c = VectorClock::from_components(vec![0, u32::MAX, 17]);
-        let mut buf = BytesMut::new();
-        encode_clock(&c, &mut buf);
-        let mut bytes = buf.freeze();
-        assert_eq!(decode_clock(&mut bytes).unwrap(), c);
-        assert!(!bytes.has_remaining());
-    }
-
-    #[test]
-    fn local_interval_round_trip() {
+    fn delta_bad_kind_tag_rejected() {
         let iv = sample_local();
-        let bytes = interval_to_bytes(&iv);
-        assert_eq!(bytes.len(), encoded_interval_len(&iv));
-        assert_eq!(interval_from_bytes(&bytes).unwrap(), iv);
-    }
-
-    #[test]
-    fn aggregated_interval_round_trip() {
-        let iv = sample_aggregated();
-        let bytes = interval_to_bytes(&iv);
-        assert_eq!(bytes.len(), encoded_interval_len(&iv));
-        let decoded = interval_from_bytes(&bytes).unwrap();
-        assert_eq!(decoded, iv);
-        assert!(decoded.is_aggregated());
-        assert_eq!(decoded.coverage.len(), 2);
-    }
-
-    #[test]
-    fn truncated_buffers_error_cleanly() {
-        let iv = sample_aggregated();
-        let bytes = interval_to_bytes(&iv);
-        for cut in [0, 3, 12, 13, 20, bytes.len() - 1] {
-            let mut truncated = bytes.clone();
-            truncated.truncate(cut);
-            assert!(
-                interval_from_bytes(&truncated).is_err(),
-                "cut at {cut} must fail"
-            );
-        }
-    }
-
-    #[test]
-    fn bad_kind_tag_rejected() {
-        let iv = sample_local();
-        let bytes = interval_to_bytes(&iv);
-        let mut raw = bytes.to_vec();
-        raw[12] = 9; // kind tag offset: 4 (source) + 8 (seq)
+        let mut raw = interval_to_bytes_delta(&iv).to_vec();
+        raw[5] = 9; // kind tag offset: 4 (header) + 1 (varint seq 7)
         let mut buf = Bytes::from(raw);
         assert_eq!(
-            decode_interval(&mut buf),
+            decode_interval_delta(&mut buf, None),
             Err(DecodeError("unknown interval kind tag"))
         );
     }
 
     #[test]
-    fn multiple_intervals_stream() {
+    fn delta_frames_stream_back_to_back() {
         let a = sample_local();
         let b = sample_aggregated();
         let mut buf = BytesMut::new();
-        encode_interval(&a, &mut buf);
-        encode_interval(&b, &mut buf);
+        encode_interval_delta(&a, None, &mut buf);
+        encode_interval_delta(&b, Some(&a.lo), &mut buf);
         let mut bytes = buf.freeze();
-        assert_eq!(decode_interval(&mut bytes).unwrap(), a);
-        assert_eq!(decode_interval(&mut bytes).unwrap(), b);
+        assert_eq!(decode_interval_delta(&mut bytes, None).unwrap(), a);
+        assert_eq!(decode_interval_delta(&mut bytes, Some(&a.lo)).unwrap(), b);
         assert!(!bytes.has_remaining());
     }
 
     // --- hostile length prefixes -------------------------------------------
 
     #[test]
-    fn hostile_clock_length_rejected_before_allocation() {
-        // Top byte 0x00 so it looks dense, but the claimed length is far
-        // above MAX_PROCESSES. Must fail fast, not allocate gigabytes.
-        let mut raw = Vec::new();
-        raw.extend_from_slice(&((MAX_PROCESSES as u32 + 1).to_le_bytes()));
-        let mut buf = Bytes::from(raw);
-        assert_eq!(
-            decode_clock(&mut buf),
-            Err(DecodeError("clock length exceeds MAX_PROCESSES"))
-        );
-    }
-
-    #[test]
-    fn hostile_coverage_length_rejected() {
+    fn hostile_delta_coverage_length_rejected() {
         let iv = sample_local();
-        let mut raw = interval_to_bytes(&iv).to_vec();
-        // coverage length precedes the single self-coverage entry (12 bytes)
-        let at = raw.len() - 12 - 4;
-        raw[at..at + 4].copy_from_slice(&0x00ff_ffff_u32.to_le_bytes());
+        let mut raw = interval_to_bytes_delta(&iv).to_vec();
+        // The frame ends with varint coverage_len = 1 and one (process 3,
+        // seq 7) entry; claim 2^28 − 1 entries instead.
+        let at = raw.len() - 3;
+        raw.truncate(at);
+        raw.extend_from_slice(&[0xff, 0xff, 0xff, 0x7f]);
         let mut buf = Bytes::from(raw);
         assert_eq!(
-            decode_interval(&mut buf),
+            decode_interval_delta(&mut buf, None),
             Err(DecodeError("coverage length exceeds MAX_COVERAGE"))
         );
     }
@@ -859,6 +653,21 @@ mod tests {
         assert_eq!(
             decode_clock_delta(&mut buf, None),
             Err(DecodeError("clock length exceeds MAX_PROCESSES"))
+        );
+    }
+
+    #[test]
+    fn delta_clock_length_beyond_the_buffer_rejected_before_allocation() {
+        // A 5-byte frame claiming MAX_PROCESSES components: within the
+        // length bound, but the empty body cannot hold one byte per
+        // component, so it must fail before reserving 4 MiB.
+        let header = (u32::from(CLOCK_DELTA_TAG) << 24) | MAX_PROCESSES as u32;
+        let mut raw = header.to_le_bytes().to_vec();
+        raw.push(0); // base flag
+        let mut buf = Bytes::from(raw);
+        assert_eq!(
+            decode_clock_delta(&mut buf, None),
+            Err(DecodeError("delta clock components truncated"))
         );
     }
 
@@ -1018,32 +827,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_decoder_handles_both_formats() {
-        let iv = sample_aggregated();
-        let dense = interval_to_bytes(&iv);
-        let delta = interval_to_bytes_delta(&iv);
-        assert_eq!(interval_from_bytes(&dense).unwrap(), iv);
-        assert_eq!(interval_from_bytes(&delta).unwrap(), iv);
-
-        let mut unknown = Bytes::from(vec![0, 0, 0, 0x42, 0, 0, 0, 0]);
-        assert_eq!(
-            decode_interval_auto(&mut unknown, None),
-            Err(DecodeError("unknown interval format version"))
-        );
-    }
-
-    #[test]
-    fn auto_decoder_clock_both_formats() {
-        let c = VectorClock::from_components(vec![9, 0, 4]);
-        let mut dense = BytesMut::new();
-        encode_clock(&c, &mut dense);
-        let mut delta = BytesMut::new();
-        encode_clock_delta(&c, None, &mut delta);
-        assert_eq!(decode_clock_auto(&mut dense.freeze(), None).unwrap(), c);
-        assert_eq!(decode_clock_auto(&mut delta.freeze(), None).unwrap(), c);
-    }
-
-    #[test]
     fn delta_beats_dense_at_scale() {
         // A realistic wide interval: n = 1024, bounds close to each other,
         // sent against a recent per-connection base.
@@ -1083,8 +866,6 @@ mod tests {
     #[test]
     fn frame_kind_classifies_without_decoding() {
         for iv in [sample_local(), sample_aggregated()] {
-            let dense = interval_to_bytes(&iv);
-            assert_eq!(frame_kind(dense.as_slice()), Ok(FrameKind::Dense));
             let standalone = interval_to_bytes_delta(&iv);
             assert_eq!(
                 frame_kind(standalone.as_slice()),
@@ -1104,6 +885,10 @@ mod tests {
         assert!(
             frame_kind(&[0, 0, 0, 0x42, 0, 0, 0, 0]).is_err(),
             "unknown version errors"
+        );
+        assert!(
+            frame_kind(&[4, 0, 0, 0, 0, 0, 0, 0]).is_err(),
+            "the retired dense version byte errors"
         );
     }
 

@@ -103,8 +103,9 @@ impl Interval {
         self.lo.less_eq(&self.hi)
     }
 
-    /// Wire size in bytes under the binary codec in [`crate::codec`]
-    /// (used for message-size accounting and buffer pre-sizing).
+    /// Uncompressed size in bytes: the fixed-width layout of
+    /// [`encoded_interval_len`](crate::codec::encoded_interval_len), used
+    /// for message-size accounting where no delta base applies.
     pub fn wire_size(&self) -> usize {
         crate::codec::encoded_interval_len(self)
     }
@@ -166,8 +167,6 @@ mod tests {
         // source 4 + seq 8 + kind tag 1 + two clocks of (4 + 2·4) bytes
         // + coverage length 4 + one coverage entry 12
         assert_eq!(iv.wire_size(), 4 + 8 + 1 + 12 + 12 + 4 + 12);
-        // ... and it is exactly the codec's output length.
-        assert_eq!(iv.wire_size(), crate::codec::interval_to_bytes(&iv).len());
     }
 
     #[test]

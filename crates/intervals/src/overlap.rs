@@ -50,7 +50,7 @@ pub fn definitely_holds_fast(set: &[Interval], ops: &OpCounter) -> bool {
         .map(|iv| Some((iv.lo.components(), iv.hi.components())))
         .collect();
     for (i, x) in set.iter().enumerate() {
-        if summary::certify(i, x.lo.components(), x.hi.components(), &heads, ops, 1) {
+        if summary::certify(i, x.lo.components(), x.hi.components(), &heads, ops) {
             continue;
         }
         // Exact row: the gate is conservative on ties, so only a pairwise

@@ -50,16 +50,17 @@ proptest! {
     #[test]
     fn clock_round_trip(c in clock_strategy(6)) {
         let mut buf = bytes::BytesMut::new();
-        codec::encode_clock(&c, &mut buf);
+        codec::encode_clock_delta(&c, None, &mut buf);
+        prop_assert_eq!(buf.len(), codec::encoded_clock_delta_len(&c, None));
         let mut b = buf.freeze();
-        prop_assert_eq!(codec::decode_clock(&mut b).unwrap(), c);
+        prop_assert_eq!(codec::decode_clock_delta(&mut b, None).unwrap(), c);
     }
 
     #[test]
     fn local_interval_round_trip(iv in interval_strategy()) {
-        let bytes = codec::interval_to_bytes(&iv);
-        prop_assert_eq!(bytes.len(), codec::encoded_interval_len(&iv));
-        prop_assert_eq!(codec::interval_from_bytes(&bytes).unwrap(), iv);
+        let mut bytes = codec::interval_to_bytes_delta(&iv);
+        prop_assert_eq!(bytes.len(), codec::encoded_interval_delta_len(&iv, None));
+        prop_assert_eq!(codec::decode_interval_delta(&mut bytes, None).unwrap(), iv);
     }
 
     /// Aggregations (with multi-entry coverage and level tags) round-trip.
@@ -77,28 +78,28 @@ proptest! {
             a.hi.clone(),
         );
         let agg = aggregate(&[a, b], ProcessId(99), seq, level);
-        let bytes = codec::interval_to_bytes(&agg);
-        prop_assert_eq!(bytes.len(), codec::encoded_interval_len(&agg));
-        prop_assert_eq!(codec::interval_from_bytes(&bytes).unwrap(), agg);
+        let mut bytes = codec::interval_to_bytes_delta(&agg);
+        prop_assert_eq!(bytes.len(), codec::encoded_interval_delta_len(&agg, None));
+        prop_assert_eq!(codec::decode_interval_delta(&mut bytes, None).unwrap(), agg);
     }
 
     /// Any truncation of a valid encoding fails cleanly (no panic).
     #[test]
     fn truncation_never_panics(iv in interval_strategy(), cut_frac in 0.0f64..1.0) {
-        let bytes = codec::interval_to_bytes(&iv);
+        let bytes = codec::interval_to_bytes_delta(&iv);
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
         if cut < bytes.len() {
             let mut t = bytes.clone();
             t.truncate(cut);
-            prop_assert!(codec::interval_from_bytes(&t).is_err());
+            prop_assert!(codec::decode_interval_delta(&mut t, None).is_err());
         }
     }
 
     /// Arbitrary garbage either fails or decodes without panicking.
     #[test]
     fn garbage_never_panics(data in proptest::collection::vec(proptest::num::u8::ANY, 0..64)) {
-        let b = Bytes::from(data);
-        let _ = codec::interval_from_bytes(&b); // must not panic
+        let mut b = Bytes::from(data);
+        let _ = codec::decode_interval_delta(&mut b, None); // must not panic
     }
 
     /// Any mixed-tenant batch round-trips exactly — standalone or

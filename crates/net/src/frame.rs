@@ -4,7 +4,7 @@
 //! many payload bytes. The payload is one session message
 //! ([`crate::wire::NetMsg`]), whose interval payloads in turn carry the
 //! existing `ftscp_intervals::codec` frames unchanged (version bytes
-//! `0x00` / `0xD1` / `0xD2`).
+//! `0xD1` / `0xD2` / `0xD3`).
 //!
 //! [`FrameBuffer`] is the receive half: a pure byte-stream reassembly
 //! state machine with no socket anywhere in sight, so its hostile-input
